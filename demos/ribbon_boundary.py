@@ -9,7 +9,7 @@ smallest admissible q, and the chordal slope (q*(p) - 1)/(p - 1) carries the
 dependence information: it rises toward s*(X;Y) as p grows and approaches
 s*(Y;X) as p drops to 1.  Maximal correlation lower-bounds every slope.
 
-Runtime: about half a minute; each boundary point is a bisection over
+Runtime: a few seconds; each boundary point is a bisection over
 contraction tests.
 """
 

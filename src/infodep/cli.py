@@ -157,8 +157,8 @@ def cmd_measures(args) -> int:
     provenance = {
         "seed": args.seed,
         "restarts": args.restarts,
-        "sstar_grid_n": 128,
-        "sstar_tol": "1e-09",
+        "sstar_grid_n": fwd.diagnostics["grid_n"],
+        "sstar_tol": fwd.diagnostics["tol"],
     }
     if j.shape[0] == 2:
         ld = lambda_dagger(channel_of(j))

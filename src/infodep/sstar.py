@@ -123,10 +123,26 @@ class SStarResult:
     diagnostics: dict
 
 
+def _kl_phi(r: np.ndarray, p: np.ndarray) -> float:
+    """D(r || p) in nats for p > 0, as sum p phi(r/p) with
+    phi(t) = t log t - (t - 1) >= 0.
+
+    The terms -(t - 1) add up to sum p - sum r, zero in exact arithmetic, so
+    this is the plain sum of r log(r/p) without the ulp by which float64 r
+    and p miss summing to the same total.  Near r = p that mismatch is ~1e-7
+    of a 1e-9 nat divergence; the phi terms are all >= 0 and cancel nothing.
+    """
+    t = r / p
+    d = t - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.where(t > 0.0, t * np.log1p(d) - d, 1.0)
+    return float(np.sum(p * phi))
+
+
 def _ratio_nats(j: JointDistribution, r: np.ndarray) -> tuple[float, float]:
     """(numerator, denominator) of the ratio at r, both in nats."""
-    den = float(rel_entr(r, j.px).sum())
-    num = float(rel_entr(r @ (j.pxy / j.px[:, None]), j.py).sum())
+    den = _kl_phi(r, j.px)
+    num = _kl_phi(r @ (j.pxy / j.px[:, None]), j.py)
     return num, den
 
 
@@ -251,7 +267,8 @@ def sstar(
     Every candidate then runs a projected-gradient ascent on the ratio with a
     halving step ladder, all starts advanced in one vectorized batch, until
     no start improves by more than ``tol`` relative or ``max_iter`` sweeps
-    pass.  The reported value is exactly the ratio at the reported maximizer.
+    pass; ``diagnostics["converged"]`` is False when the sweep cap ended it.
+    The reported value is exactly the ratio at the reported maximizer.
     """
     nx = j.shape[0]
     px = j.px
@@ -260,7 +277,8 @@ def sstar(
             0.0,
             PMF(j.x_labels, px),
             {"restarts": 0, "seed": seed, "grid_n": grid_n, "tol": tol,
-             "candidates": 0, "ascent_sweeps": 0, "best_denominator_nats": 0.0},
+             "candidates": 0, "ascent_sweeps": 0, "best_denominator_nats": 0.0,
+             "converged": True},
         )
     W = j.pxy / px[:, None]
     py = j.py
@@ -277,6 +295,7 @@ def sstar(
 
     alphas = 0.5 ** np.arange(14)
     sweeps = 0
+    converged = False
     for _ in range(max_iter):
         sweeps += 1
         _, grad = _batch_ratio(R, W, px, py)
@@ -293,6 +312,7 @@ def sstar(
             1.0, np.abs(best_vals)
         )
         if not improved.any():
+            converged = True
             break
         C = C.reshape(R.shape[0], alphas.shape[0], nx)
         chosen = C[np.arange(R.shape[0]), pick]
@@ -321,6 +341,7 @@ def sstar(
             "candidates": int(n_candidates),
             "ascent_sweeps": int(sweeps),
             "best_denominator_nats": float(den),
+            "converged": converged,
         },
     )
 

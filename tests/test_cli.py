@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from infodep import builtin, sstar
 from infodep.cli import main
 
 
@@ -74,6 +75,16 @@ class TestMeasures:
         assert "sstar_yx: 0.029840834" in out
         assert "lambda_dagger: " in out
         assert "provenance: seed=0" in out
+
+    def test_provenance_reads_sstar_diagnostics(self, capsys):
+        code, out, err = run(capsys, "measures", "remark3")
+        assert code == 0
+        line = next(l for l in out.splitlines() if l.startswith("provenance: "))
+        assert "sstar_grid_n=128 sstar_tol=1e-09" in line
+        prov = dict(kv.split("=", 1) for kv in line[len("provenance: "):].split())
+        diag = sstar(builtin("remark3")).diagnostics
+        assert int(prov["sstar_grid_n"]) == diag["grid_n"]
+        assert float(prov["sstar_tol"]) == diag["tol"]
 
     def test_independent_binary_input(self, capsys):
         code, out, err = run(capsys, "measures", "independent")

@@ -16,12 +16,14 @@ from infodep import (
     conjugate,
     contraction_gap,
     in_ribbon,
+    joint_from_matrix,
     q_star,
     q_star_curve,
     slope_at_one,
     sstar,
     transpose,
 )
+from infodep.ribbon import GAP_TOL, QSTAR_MAX_BISECT, QSTAR_TOL, _logsumexp
 from conftest import random_joint
 
 
@@ -56,6 +58,82 @@ class TestContractionGap:
             contraction_gap(fig2, 2.0, 2.5)
         with pytest.raises(ValidationError):
             contraction_gap(fig2, 0.5, 0.5)
+
+
+def _fsum_logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """Reference log-sum-exp: one exactly rounded math.fsum per slice."""
+    moved = np.moveaxis(a, axis, -1)
+    out = np.empty(moved.shape[:-1])
+    for idx in np.ndindex(out.shape):
+        v = moved[idx]
+        top = v.max()
+        out[idx] = -math.inf if top == -math.inf else top + math.log(
+            math.fsum(math.exp(x - top) for x in v)
+        )
+    return out
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_fsum_reference(self, axis):
+        rng = np.random.default_rng(17)
+        for lo, hi in ((-1500.0, -800.0), (-40.0, -10.0), (600.0, 900.0)):
+            a = rng.uniform(lo, hi, size=(4, 5, 6))
+            a[rng.random(a.shape) < 0.3] = -np.inf
+            a[:, 2, 3] = -np.inf  # an all -inf slice along either axis
+            a[1, :, 3] = -np.inf
+            got = _logsumexp(a, axis=axis)
+            ref = _fsum_logsumexp(a, axis)
+            assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+            assert np.isneginf(got).any()
+            fin = np.isfinite(ref)
+            assert np.all(np.abs(got[fin] - ref[fin]) <= 1e-14 * np.abs(ref[fin]))
+
+
+def _ribbon_cases():
+    rng = np.random.default_rng(29)
+    seeded = rng.dirichlet(np.ones(9)).reshape(3, 3)
+    return {
+        "fig2": builtin("fig2"),
+        "remark3": builtin("remark3"),
+        "identity": joint_from_matrix([[0.5, 0.0], [0.0, 0.5]], (0, 1), (0, 1)),
+        "seeded 3x3": joint_from_matrix(seeded, (0, 1, 2), (0, 1, 2)),
+    }
+
+
+class TestEarlyExit:
+    """in_ribbon stops its sweeps at the first gap above tol; the answer must
+    stay the one the full contraction_gap run gives."""
+
+    @pytest.mark.parametrize("name", ["fig2", "remark3", "identity", "seeded 3x3"])
+    def test_in_ribbon_matches_full_gap(self, name):
+        j = _ribbon_cases()[name]
+        for p in (1.5, 4.0, 32.0):
+            # a grid, and the probes just inside q*(p) where the gap is smallest
+            near = q_star(j, p) - 10.0 ** -np.arange(3.0, 8.0)
+            for q in np.concatenate([np.linspace(1.0, p, 13), near[near >= 1.0]]):
+                assert in_ribbon(j, p, q) == (contraction_gap(j, p, q) <= GAP_TOL), (p, q)
+
+    @staticmethod
+    def _reference_q_star(j, p):
+        """q_star's bisection, with every probe a full contraction_gap run."""
+        if contraction_gap(j, p, 1.0 + QSTAR_TOL) <= GAP_TOL:
+            return 1.0
+        lo, hi = 1.0, p
+        for _ in range(QSTAR_MAX_BISECT):
+            if hi - lo <= QSTAR_TOL:
+                break
+            mid = 0.5 * (lo + hi)
+            if contraction_gap(j, p, mid) <= GAP_TOL:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    @pytest.mark.parametrize("name, p", [("fig2", 2.0), ("remark3", 4.0)])
+    def test_q_star_equals_full_gap_bisection(self, name, p):
+        j = builtin(name)
+        assert q_star(j, p) == self._reference_q_star(j, p)
 
 
 class TestInRibbon:

@@ -1,5 +1,7 @@
 """Unit tests for the KL-ratio objective, its maximization, and U-decompositions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from infodep import (
     binary_rho_squared,
     binary_u_from_conditionals,
     builtin,
+    joint_from_matrix,
     kl_ratio,
     marginals,
     maximal_correlation,
@@ -118,8 +121,48 @@ class TestSstar:
             "candidates",
             "ascent_sweeps",
             "best_denominator_nats",
+            "converged",
         ):
             assert key in diag
+
+    def test_converged_flag(self, fig2, remark3):
+        assert sstar(fig2).diagnostics["converged"] is True
+        table = np.random.default_rng(4).dirichlet(np.ones(16)).reshape(4, 4)
+        j4 = joint_from_matrix(table, tuple(range(4)), tuple(range(4)))
+        capped = sstar(product(remark3, j4), max_iter=1).diagnostics
+        assert capped["ascent_sweeps"] == 1
+        assert capped["converged"] is False
+
+
+def _fsum_kl(r: np.ndarray, p: np.ndarray) -> float:
+    """D(r || p) in nats as an exactly rounded sum of p phi(r/p) >= 0."""
+    total = []
+    for ri, pi in zip(r, p):
+        t = ri / pi
+        total.append(pi * (t * math.log1p(t - 1.0) - (t - 1.0)) if t > 0.0 else pi)
+    return math.fsum(total)
+
+
+class TestSstarNearP:
+    """On these uniform-input channels, and on the reverse erasure channel,
+    the supremum is the local limit rho^2 at p(x), and the ascent can end
+    within ~1e-9 nats of p(x): the value must not exceed the supremum and
+    must be the ratio at the reported maximizer."""
+
+    CLOSED_FORMS = {"bsc:1/5": 0.36, "bsc:0.1": 0.64, "bec:1/4": 0.75}
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_value_is_ratio_at_maximizer_below_sup(self, name, reverse):
+        j = builtin(name)
+        if reverse:
+            j = transpose(j)
+        res = sstar(j)
+        assert res.value <= self.CLOSED_FORMS[name] + 1e-12
+        r = res.maximizer.probs
+        W = j.pxy / j.px[:, None]
+        ratio = _fsum_kl(r @ W, j.py) / _fsum_kl(r, j.px)
+        assert res.value == pytest.approx(ratio, rel=1e-9, abs=0.0)
 
 
 class TestUDecomposition:
