@@ -11,9 +11,10 @@ attained by ``f = u2 / sqrt(p(x))``, ``g = v2 / sqrt(p(y))`` where (u2, v2) is
 the second singular pair.
 
 Two independent numerical routes to the same quantity are kept side by side on
-purpose — :func:`maximal_correlation` (deflation + power iteration, dense SVD
-fallback) and :func:`hessian_rho_lambda` (symmetric eigensolve of Q Q^T) — so
-each can certify the other in tests.
+purpose — :func:`maximal_correlation` (dense SVD of the deflated Q) and
+:func:`hessian_rho_lambda` (symmetric eigensolve of Q Q^T) — so each can
+certify the other in tests; :func:`binary_rho_squared` is a closed form for
+binary alphabets.
 """
 
 from __future__ import annotations
@@ -35,12 +36,6 @@ __all__ = [
     "backward_coupling",
     "hessian_rho_lambda",
 ]
-
-#: convergence tolerance on the power-iteration eigenvector
-POWER_TOL = 1e-12
-#: iteration budget before falling back to a dense solve
-POWER_MAX_ITER = 2000
-
 
 @dataclass(frozen=True)
 class QMatrix:
@@ -82,70 +77,13 @@ def _orthonormal_to(w: np.ndarray) -> np.ndarray:
     return candidates[:, k] / norms[k]
 
 
-def _power_second_pair(R: np.ndarray, u1: np.ndarray):
-    """Top singular triple of the deflated matrix R by power iteration on R R^T.
-
-    Returns (sigma, u, v) or None when the iteration fails to converge (e.g.
-    a tie between the leading singular values of R), in which case the caller
-    should use a dense solve.
-    """
-    nx = R.shape[0]
-    u = 1.0 + np.arange(nx) / max(nx, 2)
-    u -= (u @ u1) * u1
-    norm = np.linalg.norm(u)
-    if norm < 1e-12:
-        return None
-    u /= norm
-    sigma_sq = 0.0
-    for _ in range(POWER_MAX_ITER):
-        w = R @ (R.T @ u)
-        # re-orthogonalize against the known top direction each sweep so
-        # float-level leakage of the deflated pair cannot accumulate
-        w -= (w @ u1) * u1
-        sigma_sq = float(np.linalg.norm(w))
-        if sigma_sq < 1e-28:
-            # deflated matrix is numerically zero: rho = 0
-            u2 = _orthonormal_to(u1)
-            return 0.0, u2, None
-        w /= sigma_sq
-        if np.linalg.norm(w - u) < POWER_TOL or np.linalg.norm(w + u) < POWER_TOL:
-            u = w
-            break
-        u = w
-    else:
-        return None
-    vt = R.T @ u
-    vnorm = float(np.linalg.norm(vt))
-    if vnorm < 1e-14:
-        return 0.0, u, None
-    # ||R^T u|| at the converged u is the Rayleigh estimate of sigma, accurate
-    # to second order in the remaining eigenvector error
-    return vnorm, u, vt / vnorm
-
-
-def _dense_second_pair(R: np.ndarray, u1: np.ndarray, v1: np.ndarray):
-    """Dense-SVD fallback: top singular triple of R, re-orthogonalized."""
-    U, S, Vt = np.linalg.svd(R, full_matrices=False)
-    sigma = float(S[0])
-    u, v = U[:, 0], Vt[0, :]
-    u = u - (u @ u1) * u1
-    v = v - (v @ v1) * v1
-    un, vn = np.linalg.norm(u), np.linalg.norm(v)
-    if un < 1e-8 or vn < 1e-8:
-        # happens only when R is numerically zero: pick any orthogonal pair
-        return 0.0, _orthonormal_to(u1), _orthonormal_to(v1)
-    return sigma, u / un, v / vn
-
-
 def maximal_correlation(j: JointDistribution) -> CorrelationWitness:
     """Maximal correlation rho = sigma_2(Q) with an attaining witness (f, g).
 
     Algorithm: deflate the analytically known top singular pair
-    (sqrt p(x), sqrt p(y), 1) from Q and extract the leading singular triple
-    of the remainder by power iteration on the symmetrized product
-    (tolerance 1e-12), falling back to a dense SVD when the iteration stalls
-    on a tie.  Deflating the exact top pair keeps sigma_1 = 1 from
-    contaminating the estimate when rho is close to 1.
+    (sqrt p(x), sqrt p(y), 1) from Q and take the leading singular triple of
+    the remainder from one dense SVD.  Deflating the exact top pair keeps
+    sigma_1 = 1 from contaminating the estimate when rho is close to 1.
 
     Raises :class:`DegenerateAlphabet` when either alphabet has one symbol
     (no zero-mean unit-variance function exists; the correlation is 0 by
@@ -158,16 +96,19 @@ def maximal_correlation(j: JointDistribution) -> CorrelationWitness:
         )
     px, py = j.px, j.py
     u1, v1 = np.sqrt(px), np.sqrt(py)
-    Q = j.pxy / np.outer(u1, v1)
-    R = Q - np.outer(u1, v1)
-
-    got = _power_second_pair(R, u1)
-    if got is None:
-        sigma, u2, v2 = _dense_second_pair(R, u1, v1)
+    R = j.pxy / np.outer(u1, v1) - np.outer(u1, v1)
+    U, S, Vt = np.linalg.svd(R, full_matrices=False)
+    if S[0] < 1e-14:
+        # R is rounding noise (an independent joint): rho = 0, and any
+        # orthogonal pair is a valid witness
+        sigma, u2, v2 = 0.0, _orthonormal_to(u1), _orthonormal_to(v1)
     else:
-        sigma, u2, v2 = got
-        if v2 is None:  # rho == 0: any orthogonal pair is a valid witness
-            v2 = _orthonormal_to(v1)
+        # re-orthogonalize against the known top pair so float-level leakage
+        # of the deflated direction cannot reach the witness
+        u2 = U[:, 0] - (U[:, 0] @ u1) * u1
+        v2 = Vt[0] - (Vt[0] @ v1) * v1
+        u2, v2 = u2 / np.linalg.norm(u2), v2 / np.linalg.norm(v2)
+        sigma = float(S[0])
 
     sigma = float(min(max(sigma, 0.0), 1.0))
     f = u2 / u1

@@ -26,12 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .distributions import (
     JointDistribution,
     LogBase,
     PMF,
+    _kl_terms,
     mutual_information,
 )
 from .errors import (
@@ -123,26 +123,10 @@ class SStarResult:
     diagnostics: dict
 
 
-def _kl_phi(r: np.ndarray, p: np.ndarray) -> float:
-    """D(r || p) in nats for p > 0, as sum p phi(r/p) with
-    phi(t) = t log t - (t - 1) >= 0.
-
-    The terms -(t - 1) add up to sum p - sum r, zero in exact arithmetic, so
-    this is the plain sum of r log(r/p) without the ulp by which float64 r
-    and p miss summing to the same total.  Near r = p that mismatch is ~1e-7
-    of a 1e-9 nat divergence; the phi terms are all >= 0 and cancel nothing.
-    """
-    t = r / p
-    d = t - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(t > 0.0, t * np.log1p(d) - d, 1.0)
-    return float(np.sum(p * phi))
-
-
 def _ratio_nats(j: JointDistribution, r: np.ndarray) -> tuple[float, float]:
     """(numerator, denominator) of the ratio at r, both in nats."""
-    den = _kl_phi(r, j.px)
-    num = _kl_phi(r @ (j.pxy / j.px[:, None]), j.py)
+    den = float(_kl_terms(r, j.px).sum())
+    num = float(_kl_terms(r @ (j.pxy / j.px[:, None]), j.py).sum())
     return num, den
 
 
@@ -187,8 +171,8 @@ def _batch_ratio(R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray):
     produce large finite subgradient components instead of nan.
     """
     RY = R @ W
-    den = rel_entr(R, px).sum(axis=1)
-    num = rel_entr(RY, py).sum(axis=1)
+    den = _kl_terms(R, px).sum(axis=1)
+    num = _kl_terms(RY, py).sum(axis=1)
     ok = den > SEARCH_EXCLUSION
     ratios = np.where(
         num < NUM_NOISE_FLOOR, 0.0, num / np.maximum(den, 1e-300)
@@ -375,8 +359,8 @@ def ratio_for_u(
     px, py = j.px, j.py
     W = j.pxy / px[:, None]
     Ry = Rx @ W
-    i_ux = float(w @ rel_entr(Rx, px).sum(axis=1)) * scale
-    i_uy = float(w @ rel_entr(Ry, py).sum(axis=1)) * scale
+    i_ux = float(w @ _kl_terms(Rx, px).sum(axis=1)) * scale
+    i_uy = float(w @ _kl_terms(Ry, py).sum(axis=1)) * scale
 
     jux = JointDistribution(labels_u, j.x_labels, w[:, None] * Rx)
     juy = JointDistribution(labels_u, j.y_labels, w[:, None] * Ry)
@@ -433,7 +417,7 @@ def perturbation_sequence(
     if r_star.labels != j.x_labels:
         raise LabelMismatch("r* is not on the joint's X alphabet")
     px = j.px
-    if float(rel_entr(r_star.probs, px).sum()) < RATIO_MIN_DEN:
+    if float(_kl_terms(r_star.probs, px).sum()) < RATIO_MIN_DEN:
         raise RTooCloseToP("r* coincides with p(x); perturbations do nothing")
     out = []
     for eps in eps_list:

@@ -19,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import entr, rel_entr
 
 from .distributions import (
     Channel,
     LogBase,
     PMF,
+    _entr,
     entropy,
+    joint_from_matrix,
     push_forward,
 )
 from .errors import (
@@ -35,6 +36,8 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
+from .spectral import binary_rho_squared
+from .sstar import sstar
 
 __all__ = [
     "TCurveSample",
@@ -55,8 +58,8 @@ TOUCH_TOL = 1e-6
 #: declared tolerance would otherwise bias the threshold low (the gap shrinks
 #: roughly linearly in lambda, so a loose touch test fires early)
 DAGGER_TOUCH_TOL = 1e-8
-#: KL neighborhood of r = p treated as "no movement" in ratio scans (nats)
-RATIO_EXCLUSION = 1e-9
+#: default absolute tolerance on the lambda_dagger threshold
+LAMBDA_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ def _curve_values(W: np.ndarray, p0: np.ndarray, lam: float, scale: float) -> np
     """Vectorized t_lambda over binary inputs (p0, 1-p0), in the chosen base."""
     R = np.column_stack([p0, 1.0 - p0])
     RY = R @ W
-    return (entr(RY).sum(axis=1) - lam * entr(R).sum(axis=1)) * scale
+    return (_entr(RY).sum(axis=1) - lam * _entr(R).sum(axis=1)) * scale
 
 
 def _lower_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -193,7 +196,7 @@ def touches_envelope(
 
 def lambda_dagger(
     c: Channel,
-    tol: float = 1e-5,
+    tol: float = LAMBDA_TOL,
     grid_n: int = ENVELOPE_GRID_N,
     touch_tol: float = DAGGER_TOUCH_TOL,
 ) -> float:
@@ -218,51 +221,13 @@ def lambda_dagger(
     return hi
 
 
-def _binary_rho2_of(pxy: np.ndarray, px: np.ndarray, py: np.ndarray) -> float:
-    outer = np.outer(px, py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(outer > 0.0, pxy**2 / np.maximum(outer, 1e-300), 0.0)
-    return float(min(max(terms.sum() - 1.0, 0.0), 1.0))
-
-
-def _binary_sstar_1d(W: np.ndarray, px: np.ndarray, py: np.ndarray, rho2: float) -> float:
-    """Best KL ratio over binary inputs r != px, refined around the grid max.
-
-    The local limit of the ratio as r -> px equals rho^2 (the only approach
-    direction in 1-D), so rho2 enters the candidate set as an analytically
-    known limit value; the grid handles everything away from px.
-    """
-
-    def vals(r0: np.ndarray) -> np.ndarray:
-        R = np.column_stack([r0, 1.0 - r0])
-        den = rel_entr(R, px).sum(axis=1)
-        num = rel_entr(R @ W, py).sum(axis=1)
-        # numerators below the float noise floor are exact zeros; dividing
-        # the noise by a small admitted denominator would fabricate ratios
-        ratios = np.where(num < 1e-13, 0.0, num / np.maximum(den, 1e-300))
-        return np.where(den > RATIO_EXCLUSION, ratios, -np.inf)
-
-    xs = np.linspace(0.0, 1.0, 513)
-    v = vals(xs)
-    i = int(np.argmax(v))
-    best_x, best = float(xs[i]), float(v[i])
-    h = 1.0 / 512.0
-    for _ in range(3):
-        xs = np.clip(np.linspace(best_x - h, best_x + h, 65), 0.0, 1.0)
-        v = vals(xs)
-        i = int(np.argmax(v))
-        if v[i] > best:
-            best, best_x = float(v[i]), float(xs[i])
-        h /= 32.0
-    return float(min(max(best, rho2), 1.0))
-
-
 def scan_inputs(rows, grid_n: int = 128) -> tuple[float, float]:
     """Max over binary channel inputs of rho^2 and of s*, as a pair.
 
     ``rows`` is the bare 2 x |Y| row-stochastic matrix; the scan sweeps
-    P(X=0) over the interior grid [1/grid_n, 1 - 1/grid_n] and computes both
-    dependence measures at each input.  The two maxima agree (a result this
+    P(X=0) over the interior grid [1/grid_n, 1 - 1/grid_n] and takes
+    :func:`binary_rho_squared` and :func:`sstar` of the joint at each input.
+    The two maxima agree (a result this
     function also enforces at tolerance 1e-3, raising
     :class:`NumericalError` otherwise, since disagreement can only come from
     optimizer failure).
@@ -281,16 +246,19 @@ def scan_inputs(rows, grid_n: int = 128) -> tuple[float, float]:
     if grid_n < 4:
         raise ValidationError(f"grid_n must be at least 4, got {grid_n}")
 
+    # JointDistribution rejects a column no input can reach; it carries no
+    # mass at any input, so dropping it changes neither measure
+    W = W[:, W.sum(axis=0) > 0.0]
+    if W.shape[1] < 2:  # Y is constant: both measures are 0 at every input
+        return 0.0, 0.0
     max_rho2 = 0.0
     max_sstar = 0.0
     for p0 in np.linspace(1.0 / grid_n, 1.0 - 1.0 / grid_n, grid_n - 1):
-        px = np.array([p0, 1.0 - p0])
-        pxy = px[:, None] * W
-        py = pxy.sum(axis=0)
-        rho2 = _binary_rho2_of(pxy, px, py)
-        sstar = _binary_sstar_1d(W, px, py, rho2)
-        max_rho2 = max(max_rho2, rho2)
-        max_sstar = max(max_sstar, sstar)
+        j = joint_from_matrix(
+            np.array([[p0], [1.0 - p0]]) * W, (0, 1), tuple(range(W.shape[1]))
+        )
+        max_rho2 = max(max_rho2, binary_rho_squared(j))
+        max_sstar = max(max_sstar, sstar(j).value)
     if abs(max_rho2 - max_sstar) > 1e-3:
         raise NumericalError(
             "max-over-inputs of rho^2 and s* should agree within 1e-3; "

@@ -1,10 +1,16 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import infodep
 from infodep import builtin, sstar
 from infodep.cli import main
 
@@ -271,3 +277,29 @@ class TestTensor:
         code, out, err = run(capsys, "tensor", str(path), str(path))
         assert code == 3
         assert "64" in err
+
+
+class TestNumpyOnly:
+    def test_runs_with_scipy_blocked(self):
+        # a None entry in sys.modules makes every import of scipy fail
+        script = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            sys.modules["scipy"] = None
+            from infodep.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [main(["measures", "fig2"]),
+                         main(["tcurve", "fig2", "--lambda", "0.7"])]
+            print(codes)
+            print(sorted(m for m, v in sys.modules.items()
+                         if m.split(".")[0] == "scipy" and v is not None))
+            """
+        )
+        src = str(Path(infodep.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[:2] == ["[0, 0]", "[]"]

@@ -2,6 +2,7 @@
 
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from infodep import (
     push_forward,
     transpose,
 )
+from infodep.distributions import _entr, _kl_terms
 from conftest import random_joint
 
 FIG2_MI_BITS = 0.5954372523105548
@@ -196,6 +198,77 @@ class TestEntropyAndKL:
             upstream = kl_divergence(r, c.input)
             downstream = kl_divergence(push_forward(c, r), py)
             assert downstream <= upstream + 1e-12
+
+
+def _kl_terms_reference(r, p) -> list[float]:
+    """Terms r log(r/p) - r + p, one math.log each, with the same edge rules."""
+    out = []
+    for a, b in zip(r, p):
+        if b == 0.0:
+            out.append(0.0 if a == 0.0 else math.inf)
+        elif a == 0.0:
+            out.append(b)
+        else:
+            out.append(a * math.log(a / b) - a + b)
+    return out
+
+
+class TestKernels:
+    """The entropy and divergence kernels against scalar math references."""
+
+    def test_entr_matches_math(self):
+        x = np.array([0.0, 1e-300, 1e-12, 0.2, 0.5, 1.0, 0.75])
+        ref = [0.0 if v == 0.0 else -v * math.log(v) for v in x]
+        got = _entr(x)
+        assert got[0] == 0.0 and got[5] == 0.0
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+        assert float(got.sum()) == pytest.approx(math.fsum(ref), rel=1e-14)
+
+    def test_kl_terms_match_math_with_zeros(self):
+        r = np.array([0.0, 0.1, 0.25, 0.65, 0.0])
+        p = np.array([0.2, 0.4, 0.05, 0.35, 0.0])
+        got = _kl_terms(r, p)
+        ref = _kl_terms_reference(r, p)
+        assert got[0] == p[0] and got[4] == 0.0
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+        assert float(got.sum()) == pytest.approx(math.fsum(ref), rel=1e-14)
+
+    def test_mass_outside_support_is_inf(self):
+        got = _kl_terms(np.array([0.5, 0.5, 0.0]), np.array([1.0, 0.0, 0.0]))
+        assert got[1] == math.inf and got[2] == 0.0
+        assert float(got.sum()) == math.inf
+
+    def test_rows_broadcast_against_one_reference(self):
+        p = np.array([0.1, 0.2, 0.3, 0.4])
+        R = np.array([
+            [0.4, 0.3, 0.2, 0.1],
+            [0.0, 0.5, 0.25, 0.25],
+            [0.7, 0.1, 0.1, 0.1],
+            [0.1, 0.2, 0.3, 0.4],
+        ])
+        got = _kl_terms(R, p)
+        assert not got[3].any()
+        assert got.shape == R.shape
+        for row, terms in zip(R, got):
+            ref = _kl_terms_reference(row, p)
+            np.testing.assert_allclose(terms, ref, rtol=1e-14, atol=0.0)
+            assert float(terms.sum()) == pytest.approx(math.fsum(ref), rel=1e-14)
+
+    def test_near_p_pair_keeps_its_digits(self):
+        # r - p = 1e-5 (1, -1): D is 2.4e-10 nats, and a plain
+        # sum r log(r/p) loses about 1e-7 of it to cancellation
+        p = np.array([0.3, 0.7])
+        r = p + 1e-5 * np.array([1.0, -1.0])
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = float(sum(
+                Decimal(a) * (Decimal(a) / Decimal(b)).ln() - Decimal(a) + Decimal(b)
+                for a, b in zip(r, p)
+            ))
+        plain = float(np.sum(r * np.log(r / p)))
+        assert abs(plain / exact - 1.0) > 1e-8
+        # what is left is the rounding of log1p, ~1e-16 / |r/p - 1|
+        assert float(_kl_terms(r, p).sum()) == pytest.approx(exact, rel=1e-10)
 
 
 class TestMutualInformation:

@@ -120,9 +120,9 @@ class TestMaximalCorrelation:
         rng = np.random.default_rng(17)
         for _ in range(25):
             j = random_joint(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
-            rho_power = maximal_correlation(j).rho
+            rho = maximal_correlation(j).rho
             s = np.linalg.svd(q_matrix(j).entries, compute_uv=False)
-            assert rho_power == pytest.approx(float(s[1]), abs=1e-10)
+            assert rho == pytest.approx(float(s[1]), abs=1e-10)
 
 
 class TestBinaryRhoSquared:

@@ -230,6 +230,19 @@ class TestScanInputs:
         assert max_rho2 == pytest.approx(0.36, abs=1e-6)
         assert max_sstar == pytest.approx(0.36, abs=1e-4)
 
+    def test_bsc_scan_stays_below_closed_form(self):
+        # s* = rho^2 = 0.36 at the uniform input; a best-found value is a
+        # lower bound, so anything above is a divergence rounding error
+        _, max_sstar = scan_inputs(channel_of(builtin("bsc:0.2")).pyx)
+        assert max_sstar <= 0.36 + 1e-12
+
+    def test_unreachable_output_is_ignored(self):
+        rows = [[0.5, 0.5, 0.0], [0.3, 0.7, 0.0]]
+        assert scan_inputs(rows) == scan_inputs([[0.5, 0.5], [0.3, 0.7]])
+
+    def test_constant_output_gives_zero(self):
+        assert scan_inputs([[1.0, 0.0], [1.0, 0.0]]) == (0.0, 0.0)
+
     def test_independent_rows_give_zero(self):
         rows = np.array([[0.4, 0.6], [0.4, 0.6]])
         max_rho2, max_sstar = scan_inputs(rows)
