@@ -17,8 +17,10 @@ ratios climb to s* as the perturbation weight goes to zero.
 The supremum may sit on the simplex boundary (it is at a vertex for the
 asymmetric-erasure counterexample), so the optimizer always evaluates all
 vertices, edge grids, and dense grids for small alphabets before running a
-multistart projected-gradient ascent.  The sup is reported as the best value
-found, with no claim of attainment.
+multistart projected-gradient ascent.  A start stops advancing at its first
+sweep without improvement, since a sweep depends on nothing but the start's
+own point and value and would repeat the same failed step.  The sup is
+reported as the best value found, with no claim of attainment.
 """
 
 from __future__ import annotations
@@ -162,32 +164,57 @@ def _project_rows_to_simplex(V: np.ndarray) -> np.ndarray:
     return np.maximum(V - theta[:, None], 0.0)
 
 
-def _batch_ratio(R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray):
-    """Ratio values and gradients for a batch of input rows R.
+def _ratio_terms(R: np.ndarray, RY: np.ndarray, px: np.ndarray, py: np.ndarray):
+    """Ratio values, numerators, denominators and the in-domain mask of the
+    input rows R whose channel outputs are RY.
 
-    Rows inside the excluded neighborhood of px get value -inf and a zero
-    gradient; rows whose numerator sits below the float noise floor get the
-    honest value 0.  Log arguments are floored at 1e-300 so boundary rows
-    produce large finite subgradient components instead of nan.
+    Rows inside the excluded neighborhood of px get value -inf; rows whose
+    numerator sits below the float noise floor get the honest value 0.
     """
-    RY = R @ W
     den = _kl_terms(R, px).sum(axis=1)
     num = _kl_terms(RY, py).sum(axis=1)
     ok = den > SEARCH_EXCLUSION
     ratios = np.where(
         num < NUM_NOISE_FLOOR, 0.0, num / np.maximum(den, 1e-300)
     )
-    vals = np.where(ok, ratios, -np.inf)
-    log_ry = np.log(np.maximum(RY, 1e-300) / py)
+    return np.where(ok, ratios, -np.inf), num, den, ok
+
+
+# The two batch functions below take every start's rows but work out only
+# those in ``rows``.  Their matrix products still run over the whole batch,
+# because BLAS may round a row differently when the batch shape changes, and
+# the ascent's answers must not depend on which starts are still active.
+
+
+def _batch_values(
+    R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray, rows=slice(None)
+) -> np.ndarray:
+    """Ratio values at rows ``rows`` of the batch of input rows R."""
+    return _ratio_terms(R[rows], (R @ W)[rows], px, py)[0]
+
+
+def _batch_gradient(
+    R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Ratio gradients at rows ``rows`` of the batch of input rows R.
+
+    Rows inside the excluded neighborhood of px get a zero gradient.  Log
+    arguments are floored at 1e-300 so boundary rows produce large finite
+    subgradient components instead of nan.
+    """
+    RY_all = R @ W
+    R, RY = R[rows], RY_all[rows]
+    _, num, den, ok = _ratio_terms(R, RY, px, py)
+    log_ry = np.zeros_like(RY_all)
+    log_ry[rows] = np.log(np.maximum(RY, 1e-300) / py)
     log_r = np.log(np.maximum(R, 1e-300) / px)
-    g_num = (log_ry + 1.0) @ W.T
+    g_num = ((log_ry + 1.0) @ W.T)[rows]
     g_den = log_r + 1.0
     with np.errstate(invalid="ignore"):
         grad = (den[:, None] * g_num - num[:, None] * g_den) / np.maximum(
             den**2, 1e-300
         )[:, None]
-    grad = np.where(ok[:, None], grad, 0.0)
-    return vals, grad
+    return np.where(ok[:, None], grad, 0.0)
 
 
 def _candidate_points(
@@ -248,11 +275,16 @@ def sstar(
     neighborhood of p(x) (their ratios approach the local limit rho^2); and
     ``restarts`` Dirichlet(1) draws from a generator seeded with ``seed``.
 
-    Every candidate then runs a projected-gradient ascent on the ratio with a
-    halving step ladder, all starts advanced in one vectorized batch, until
-    no start improves by more than ``tol`` relative or ``max_iter`` sweeps
-    pass; ``diagnostics["converged"]`` is False when the sweep cap ended it.
-    The reported value is exactly the ratio at the reported maximizer.
+    The best candidates then run a projected-gradient ascent on the ratio
+    with a halving step ladder, until no start improves by more than ``tol``
+    relative or ``max_iter`` sweeps pass; ``diagnostics["converged"]`` is
+    False when the sweep cap ended it.  Each sweep advances only the starts
+    that improved on the previous one, in one vectorized batch.  This is
+    exact: a start's sweep depends only on its own point and best value, so
+    a start that failed to improve once would fail again on every later
+    sweep.  ``diagnostics["ascent_row_sweeps"]`` counts the starts advanced,
+    summed over sweeps.  The reported value is exactly the ratio at the
+    reported maximizer.
     """
     nx = j.shape[0]
     px = j.px
@@ -262,14 +294,14 @@ def sstar(
             PMF(j.x_labels, px),
             {"restarts": 0, "seed": seed, "grid_n": grid_n, "tol": tol,
              "candidates": 0, "ascent_sweeps": 0, "best_denominator_nats": 0.0,
-             "converged": True},
+             "converged": True, "ascent_row_sweeps": 0},
         )
     W = j.pxy / px[:, None]
     py = j.py
     rng = np.random.default_rng(seed)
 
     R = _candidate_points(j, grid_n, rng, restarts)
-    vals, _ = _batch_ratio(R, W, px, py)
+    vals = _batch_values(R, W, px, py)
     n_candidates = R.shape[0]
 
     order = np.argsort(-vals)
@@ -278,30 +310,37 @@ def sstar(
     best_vals = vals[keep]
 
     alphas = 0.5 ** np.arange(14)
+    n_keep, n_steps = R.shape[0], alphas.shape[0]
+    # step candidates of start i are rows i*n_steps .. i*n_steps + n_steps-1
+    C = np.zeros((n_keep * n_steps, nx))
+    act = np.arange(n_keep)
     sweeps = 0
+    row_sweeps = 0
     converged = False
     for _ in range(max_iter):
         sweeps += 1
-        _, grad = _batch_ratio(R, W, px, py)
+        row_sweeps += act.shape[0]
+        grad = _batch_gradient(R, W, px, py, act)
         d = grad - grad.mean(axis=1, keepdims=True)
         norms = np.linalg.norm(d, axis=1, keepdims=True)
         d = np.where(norms > 1e-300, d / np.maximum(norms, 1e-300), 0.0)
-        C = R[:, None, :] + alphas[None, :, None] * d[:, None, :]
-        C = _project_rows_to_simplex(C.reshape(-1, nx))
-        cand_vals, _ = _batch_ratio(C, W, px, py)
-        cand_vals = cand_vals.reshape(R.shape[0], alphas.shape[0])
+        rows = (act[:, None] * n_steps + np.arange(n_steps)).ravel()
+        steps = R[act, None, :] + alphas[None, :, None] * d[:, None, :]
+        C[rows] = _project_rows_to_simplex(steps.reshape(-1, nx))
+        cand_vals = _batch_values(C, W, px, py, rows).reshape(-1, n_steps)
         pick = np.argmax(cand_vals, axis=1)
-        new_vals = cand_vals[np.arange(R.shape[0]), pick]
-        improved = new_vals > best_vals + tol * np.maximum(
-            1.0, np.abs(best_vals)
-        )
+        new_vals = cand_vals[np.arange(act.shape[0]), pick]
+        old_vals = best_vals[act]
+        improved = new_vals > old_vals + tol * np.maximum(1.0, np.abs(old_vals))
         if not improved.any():
             converged = True
             break
-        C = C.reshape(R.shape[0], alphas.shape[0], nx)
-        chosen = C[np.arange(R.shape[0]), pick]
-        R = np.where(improved[:, None], chosen, R)
-        best_vals = np.where(improved, new_vals, best_vals)
+        # a sweep is a function of (R[i], best_vals[i]) alone, so a start
+        # that did not improve would repeat the same failed step on every
+        # later sweep: only the starts that improved stay active
+        act = act[improved]
+        R[act] = C[act * n_steps + pick[improved]]
+        best_vals[act] = new_vals[improved]
 
     i = int(np.argmax(best_vals))
     best_r = R[i]
@@ -326,6 +365,7 @@ def sstar(
             "ascent_sweeps": int(sweeps),
             "best_denominator_nats": float(den),
             "converged": converged,
+            "ascent_row_sweeps": int(row_sweeps),
         },
     )
 

@@ -138,15 +138,16 @@ def _lower_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
     Monotone-chain scan keeping counterclockwise turns: the surviving
     vertices have nondecreasing chord slopes, i.e. they trace the largest
-    convex function lying on or below every sample.
+    convex function lying on or below every sample.  The scan runs on
+    Python floats, whose arithmetic is the same IEEE double arithmetic as
+    numpy's float64 scalars at a fraction of the cost per operation.
     """
+    x, y = xs.tolist(), ys.tolist()
     keep: list[int] = []
-    for i in range(xs.shape[0]):
+    for i, (xi, yi) in enumerate(zip(x, y)):
         while len(keep) >= 2:
             a, b = keep[-2], keep[-1]
-            cross = (xs[b] - xs[a]) * (ys[i] - ys[a]) - (ys[b] - ys[a]) * (
-                xs[i] - xs[a]
-            )
+            cross = (x[b] - x[a]) * (yi - y[a]) - (y[b] - y[a]) * (xi - x[a])
             if cross <= 0.0:
                 keep.pop()
             else:

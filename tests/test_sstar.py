@@ -133,6 +133,17 @@ class TestSstar:
         assert capped["ascent_sweeps"] == 1
         assert capped["converged"] is False
 
+    def test_row_sweeps_count_only_active_starts(self, remark3):
+        table = np.random.default_rng(4).dirichlet(np.ones(16)).reshape(4, 4)
+        j = product(remark3, joint_from_matrix(table, tuple(range(4)), tuple(range(4))))
+        capped = sstar(j, max_iter=1).diagnostics
+        kept = min(max(capped["restarts"] + j.shape[0] + 8, 32), capped["candidates"])
+        assert capped["ascent_row_sweeps"] == kept
+        for joint in (remark3, j):
+            diag = sstar(joint).diagnostics
+            kept = min(max(diag["restarts"] + joint.shape[0] + 8, 32), diag["candidates"])
+            assert 0 < diag["ascent_row_sweeps"] < diag["ascent_sweeps"] * kept
+
 
 def _fsum_kl(r: np.ndarray, p: np.ndarray) -> float:
     """D(r || p) in nats as an exactly rounded sum of p phi(r/p) >= 0."""

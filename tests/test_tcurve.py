@@ -24,6 +24,7 @@ from infodep import (
     touches_envelope,
 )
 from conftest import random_joint
+from infodep.tcurve import _curve_values, _lower_hull
 
 FIG2_SSTAR = 0.6315172029168968
 
@@ -122,6 +123,53 @@ class TestHessianTLambda:
             rvec = 0.5 * rng.dirichlet(np.ones(nx)) + 0.5 / nx
             eigs = np.linalg.eigvalsh(hessian_t_lambda(c, PMF(c.x_labels, rvec), 1.0))
             assert eigs.min() >= -1e-10
+
+
+def _brute_lower_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Lower convex envelope at each xs[i] as the least chord value over all
+    sample pairs a <= i <= b (a = b = i gives the sample itself)."""
+    out = np.empty_like(ys)
+    for i in range(xs.shape[0]):
+        a = np.arange(i + 1)[:, None]
+        b = np.arange(i, xs.shape[0])[None, :]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w = (xs[i] - xs[a]) / (xs[b] - xs[a])
+        chords = np.where(a == b, ys[i], ys[a] + w * (ys[b] - ys[a]))
+        out[i] = chords.min()
+    return out
+
+
+class TestLowerHull:
+    """The monotone-chain hull against a brute-force minimum over chords."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_points(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 201))
+        xs = np.cumsum(rng.uniform(0.01, 1.0, n))
+        ys = rng.normal(size=n)
+        np.testing.assert_allclose(_lower_hull(xs, ys), _brute_lower_hull(xs, ys), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "ys",
+        [
+            [0.0, 0.0, 0.0, 0.0, 0.0],  # every point on one line
+            [1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0],  # repeated y in runs
+            [3.0, 2.0, 1.0, 0.0, 1.0, 2.0, 3.0],  # collinear runs on both sides
+            [0.0, 1.0, 2.0, 0.0, 2.0, 1.0, 0.0],
+            [2.0, 0.0, 0.0, 2.0, 0.0, 0.0, 2.0],
+        ],
+    )
+    def test_collinear_and_tied_points(self, ys):
+        ys = np.array(ys)
+        xs = np.arange(ys.shape[0], dtype=float)
+        np.testing.assert_allclose(_lower_hull(xs, ys), _brute_lower_hull(xs, ys), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.5, 0.7])
+    def test_fig2_curve_samples(self, fig2, lam):
+        xs = np.linspace(0.0, 1.0, 201)
+        ys = _curve_values(channel_of(fig2).pyx, xs, lam, LogBase.BITS.from_nats)
+        np.testing.assert_allclose(_lower_hull(xs, ys), _brute_lower_hull(xs, ys), rtol=0, atol=1e-12)
 
 
 class TestLowerEnvelope:
