@@ -71,7 +71,6 @@ from .errors import (
 )
 from .ribbon import (
     QStarCurve,
-    RibbonQuery,
     chordal_slope,
     conjugate,
     contraction_gap,
@@ -102,7 +101,6 @@ from .sstar import (
 )
 from .tcurve import (
     Envelope1D,
-    TCurveSample,
     hessian_t_lambda,
     lambda_dagger,
     lower_envelope_1d,
@@ -125,14 +123,14 @@ __all__ = [
     "binary_rho_squared", "renyi_value", "backward_coupling",
     "hessian_rho_lambda",
     # tcurve
-    "TCurveSample", "Envelope1D", "t_lambda", "hessian_t_lambda",
-    "lower_envelope_1d", "touches_envelope", "lambda_dagger", "scan_inputs",
+    "Envelope1D", "t_lambda", "hessian_t_lambda", "lower_envelope_1d",
+    "touches_envelope", "lambda_dagger", "scan_inputs",
     # sstar
     "UDecomposition", "UStats", "SStarResult", "kl_ratio", "sstar",
     "ratio_for_u", "binary_u_from_conditionals", "perturbation_sequence",
     # ribbon
-    "RibbonQuery", "QStarCurve", "contraction_gap", "in_ribbon", "q_star",
-    "q_star_curve", "chordal_slope", "slope_at_one", "conjugate",
+    "QStarCurve", "contraction_gap", "in_ribbon", "q_star", "q_star_curve",
+    "chordal_slope", "slope_at_one", "conjugate",
     # catalog
     "builtin",
     # errors

@@ -56,7 +56,7 @@ from .errors import (
 from .ribbon import q_star_curve
 from .spectral import binary_rho_squared, maximal_correlation
 from .sstar import binary_u_from_conditionals, ratio_for_u, sstar
-from .tcurve import ENVELOPE_GRID_N, LAMBDA_TOL, lambda_dagger, lower_envelope_1d
+from .tcurve import ENVELOPE_GRID_N, lambda_dagger, lower_envelope_1d
 
 __all__ = ["ReportDocument", "main", "entry"]
 
@@ -164,9 +164,7 @@ def cmd_measures(args) -> int:
         ld = lambda_dagger(channel_of(j))
         values["lambda_dagger"] = _fmt(ld)
         values["lambda_dagger_minus_sstar_xy"] = _fmt(ld - fwd.value)
-        provenance.update(
-            {"lambda_tol": LAMBDA_TOL, "envelope_grid_n": ENVELOPE_GRID_N}
-        )
+        provenance["envelope_grid_n"] = ENVELOPE_GRID_N
     doc = ReportDocument(_echo_inputs(args.source, j), values, provenance)
     print("\n".join(doc.lines()))
     return 0

@@ -38,7 +38,6 @@ from .distributions import JointDistribution
 from .errors import BadOrder, PEqualsOne, ValidationError
 
 __all__ = [
-    "RibbonQuery",
     "QStarCurve",
     "contraction_gap",
     "in_ribbon",
@@ -49,7 +48,7 @@ __all__ = [
     "conjugate",
 ]
 
-#: default multistart count for the inner maximization
+#: Dirichlet multistart count for the inner maximization
 GAP_RESTARTS = 32
 #: fixed-point sweeps per seed batch
 GAP_MAX_ITER = 300
@@ -61,18 +60,6 @@ GAP_TOL = 1e-9
 QSTAR_TOL = 1e-4
 #: hard cap on bisection iterations
 QSTAR_MAX_BISECT = 60
-
-
-@dataclass(frozen=True)
-class RibbonQuery:
-    """An exponent pair on the implemented branch 1 <= q <= p."""
-
-    p: float
-    q: float
-
-    def __post_init__(self):
-        if not 1.0 <= self.q <= self.p:
-            raise BadOrder(f"need 1 <= q <= p, got q = {self.q!r}, p = {self.p!r}")
 
 
 @dataclass(frozen=True)
@@ -104,16 +91,7 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
         return np.log(np.sum(np.exp(a - shift), axis=axis)) + np.squeeze(shift, axis=axis)
 
 
-def _gap(
-    j: JointDistribution,
-    p: float,
-    q: float,
-    stop_above: float,
-    restarts: int = GAP_RESTARTS,
-    tol: float = GAP_CONV_TOL,
-    seed: int = 0,
-    max_iter: int = GAP_MAX_ITER,
-) -> float:
+def _gap(j: JointDistribution, p: float, q: float, stop_above: float, seed: int) -> float:
     """contraction_gap, returning once the running gap exceeds ``stop_above``.
 
     The gap only grows over sweeps, so the early return changes the value
@@ -138,8 +116,7 @@ def _gap(
     rng = np.random.default_rng(seed)
     cols = [np.full((ny, ny), -np.inf), np.zeros((ny, 1))]
     np.fill_diagonal(cols[0], 0.0)
-    if restarts > 0:
-        cols.append(np.log(rng.dirichlet(np.ones(ny), size=restarts).T))
+    cols.append(np.log(rng.dirichlet(np.ones(ny), size=GAP_RESTARTS).T))
     if ny <= 8:
         cols.append(np.log(rng.dirichlet(np.ones(ny), size=256).T))
     logG = np.concatenate(cols, axis=1)
@@ -150,7 +127,7 @@ def _gap(
     best_log = -np.inf
     with np.errstate(all="ignore"):
         logG = normalize(logG)
-        for _ in range(max_iter):
+        for _ in range(GAP_MAX_ITER):
             log_tg = _logsumexp(logW[:, :, None] + logG[None, :, :], axis=1)
             log_norms = _logsumexp(logpx[:, None] + p * log_tg, axis=0) / p
             best_log = max(best_log, float(np.max(log_norms)))
@@ -160,52 +137,40 @@ def _gap(
             new = normalize(logm / (q - 1.0))
             delta = np.abs(new - logG)
             logG = new
-            if np.nanmax(delta) < tol:
+            if np.nanmax(delta) < GAP_CONV_TOL:
                 break
     return float(max(np.expm1(best_log), 0.0))
 
 
-def contraction_gap(
-    j: JointDistribution,
-    p: float,
-    q: float,
-    restarts: int = GAP_RESTARTS,
-    tol: float = GAP_CONV_TOL,
-    seed: int = 0,
-    max_iter: int = GAP_MAX_ITER,
-) -> float:
+def contraction_gap(j: JointDistribution, p: float, q: float, seed: int = 0) -> float:
     """Estimate of sup { ||E[g(Y)|X]||_p - 1 : g >= 0, ||g||_q = 1 }.
 
     A value <= 0 means the (p, q) contraction holds empirically.  The
     constant function is always a seed, so the estimate is never negative;
-    it is a lower bound on the true supremum (see module docstring).
+    it is a lower bound on the true supremum (see module docstring).  The
+    ``GAP_RESTARTS`` Dirichlet seeds are drawn from a generator seeded with
+    ``seed``; the sweeps stop after ``GAP_MAX_ITER`` sweeps or once log g
+    moves by less than ``GAP_CONV_TOL``.
 
     Special cases solved exactly: p = 1 gives 0 (both norms are E[g]); q = 1
     makes the feasible set { g >= 0, E[g] = 1 } with a convex objective, so
     the maximum sits at an extreme point g = indicator(y)/p(y) and all |Y|
     of them are evaluated directly.
     """
-    return _gap(j, p, q, np.inf, restarts, tol, seed, max_iter)
+    return _gap(j, p, q, np.inf, seed)
 
 
-def in_ribbon(
-    j: JointDistribution, p: float, q: float, tol: float = GAP_TOL, **opts
-) -> bool:
-    """Whether the (p, q) contraction holds: contraction_gap <= tol.
+def in_ribbon(j: JointDistribution, p: float, q: float, seed: int = 0) -> bool:
+    """Whether the (p, q) contraction holds: contraction_gap <= GAP_TOL.
 
-    The sweeps stop at the first one whose gap exceeds ``tol``; the answer
-    is the one the full contraction_gap run gives.
+    The sweeps stop at the first one whose gap exceeds ``GAP_TOL``; the
+    answer is the one the full contraction_gap run with the same ``seed``
+    gives.
     """
-    return _gap(j, p, q, tol, **opts) <= tol
+    return _gap(j, p, q, GAP_TOL, seed) <= GAP_TOL
 
 
-def q_star(
-    j: JointDistribution,
-    p: float,
-    tol: float = QSTAR_TOL,
-    gap_tol: float = GAP_TOL,
-    **opts,
-) -> float:
+def q_star(j: JointDistribution, p: float, tol: float = QSTAR_TOL, seed: int = 0) -> float:
     """The boundary exponent: smallest q in [1, p] with the contraction holding.
 
     Bisection on q; the bracket needs no evaluation at its ends because q = p
@@ -217,48 +182,54 @@ def q_star(
         raise ValidationError(f"p must be >= 1, got {p!r}")
     if p - 1.0 < 1e-12 or p - 1.0 <= tol:
         return 1.0
-    if in_ribbon(j, p, 1.0 + tol, gap_tol, **opts):
+    if in_ribbon(j, p, 1.0 + tol, seed):
         return 1.0
     lo, hi = 1.0, p
     for _ in range(QSTAR_MAX_BISECT):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if in_ribbon(j, p, mid, gap_tol, **opts):
+        if in_ribbon(j, p, mid, seed):
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def q_star_curve(j: JointDistribution, ps, tol: float = QSTAR_TOL, **opts) -> QStarCurve:
+def q_star_curve(
+    j: JointDistribution, ps, tol: float = QSTAR_TOL, seed: int = 0
+) -> QStarCurve:
     """q*(p) and chordal slopes over an increasing sequence of p > 1 values."""
     ps = np.asarray(list(ps), dtype=float)
     if ps.size == 0 or ps.min() <= 1.0:
         raise ValidationError("curve sampling needs p values > 1")
     if np.any(np.diff(ps) <= 0.0):
         raise ValidationError("p values must be strictly increasing")
-    qstars = np.array([q_star(j, p, tol, **opts) for p in ps])
+    qstars = np.array([q_star(j, p, tol, seed) for p in ps])
     slopes = (qstars - 1.0) / (ps - 1.0)
     for a in (ps, qstars, slopes):
         a.setflags(write=False)
     return QStarCurve(ps, qstars, slopes)
 
 
-def chordal_slope(j: JointDistribution, p: float, tol: float = QSTAR_TOL, **opts) -> float:
+def chordal_slope(
+    j: JointDistribution, p: float, tol: float = QSTAR_TOL, seed: int = 0
+) -> float:
     """(q*(p) - 1)/(p - 1): rises toward s*(X;Y) as p grows."""
     p = float(p)
     if p <= 1.0:
         raise PEqualsOne(f"chordal slope needs p > 1, got {p!r}")
-    return (q_star(j, p, tol, **opts) - 1.0) / (p - 1.0)
+    return (q_star(j, p, tol, seed) - 1.0) / (p - 1.0)
 
 
-def slope_at_one(j: JointDistribution, eps: float, tol: float = QSTAR_TOL, **opts) -> float:
+def slope_at_one(
+    j: JointDistribution, eps: float, tol: float = QSTAR_TOL, seed: int = 0
+) -> float:
     """Chordal slope at p = 1 + eps; approaches s*(Y;X) as eps -> 0."""
     eps = float(eps)
     if not 0.0 < eps <= 0.5:
         raise ValidationError(f"eps must be in (0, 0.5], got {eps!r}")
-    return chordal_slope(j, 1.0 + eps, tol, **opts)
+    return chordal_slope(j, 1.0 + eps, tol, seed)
 
 
 def conjugate(p: float) -> float:

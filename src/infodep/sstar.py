@@ -73,6 +73,10 @@ SEARCH_EXCLUSION = 1e-9
 #: this small can hide a true ratio only below ~1e-4, which never matters
 #: unless the joint is that close to independent anyway.
 NUM_NOISE_FLOOR = 1e-13
+#: points per dimension of the dense candidate grid for |X| <= 3
+CANDIDATE_GRID_N = 128
+#: relative gain below which an ascent step does not count as improving
+ASCENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -218,7 +222,7 @@ def _batch_gradient(
 
 
 def _candidate_points(
-    j: JointDistribution, grid_n: int, rng: np.random.Generator, restarts: int
+    j: JointDistribution, rng: np.random.Generator, restarts: int
 ) -> np.ndarray:
     """Vertices, small-alphabet grids, edge grids, witness-direction seeds,
     and Dirichlet restarts, stacked as rows."""
@@ -226,10 +230,10 @@ def _candidate_points(
     px = j.px
     blocks = [np.eye(nx)]
     if nx == 2:
-        t = np.linspace(0.0, 1.0, max(grid_n, 2))
+        t = np.linspace(0.0, 1.0, CANDIDATE_GRID_N)
         blocks.append(np.column_stack([t, 1.0 - t]))
     elif nx == 3:
-        g = max(grid_n, 2) - 1
+        g = CANDIDATE_GRID_N - 1
         ij = [(i, k) for i in range(g + 1) for k in range(g + 1 - i)]
         arr = np.array([(i / g, k / g, (g - i - k) / g) for i, k in ij])
         blocks.append(arr)
@@ -261,24 +265,22 @@ def _candidate_points(
 def sstar(
     j: JointDistribution,
     restarts: int = 64,
-    grid_n: int = 128,
-    tol: float = 1e-9,
     seed: int = 0,
     max_iter: int = 200,
 ) -> SStarResult:
     """Best-found value of the s* supremum with its maximizing input.
 
     Candidate generation: all simplex vertices; a dense barycentric grid for
-    |X| <= 3 (``grid_n`` points per dimension); 31-point grids on every edge
-    for |X| <= 8 (products of smaller joints maximize on edges); seeds along
+    |X| <= 3 (``CANDIDATE_GRID_N`` points per dimension); 31-point grids on
+    every edge for |X| <= 8 (products of smaller joints maximize on edges); seeds along
     the maximal-correlation witness direction just outside the excluded
     neighborhood of p(x) (their ratios approach the local limit rho^2); and
     ``restarts`` Dirichlet(1) draws from a generator seeded with ``seed``.
 
     The best candidates then run a projected-gradient ascent on the ratio
-    with a halving step ladder, until no start improves by more than ``tol``
-    relative or ``max_iter`` sweeps pass; ``diagnostics["converged"]`` is
-    False when the sweep cap ended it.  Each sweep advances only the starts
+    with a halving step ladder, until no start improves by more than
+    ``ASCENT_TOL`` relative or ``max_iter`` sweeps pass;
+    ``diagnostics["converged"]`` is False when the sweep cap ended it.  Each sweep advances only the starts
     that improved on the previous one, in one vectorized batch.  This is
     exact: a start's sweep depends only on its own point and best value, so
     a start that failed to improve once would fail again on every later
@@ -292,15 +294,16 @@ def sstar(
         return SStarResult(
             0.0,
             PMF(j.x_labels, px),
-            {"restarts": 0, "seed": seed, "grid_n": grid_n, "tol": tol,
-             "candidates": 0, "ascent_sweeps": 0, "best_denominator_nats": 0.0,
-             "converged": True, "ascent_row_sweeps": 0},
+            {"restarts": 0, "seed": seed, "grid_n": CANDIDATE_GRID_N,
+             "tol": ASCENT_TOL, "candidates": 0, "ascent_sweeps": 0,
+             "best_denominator_nats": 0.0, "converged": True,
+             "ascent_row_sweeps": 0},
         )
     W = j.pxy / px[:, None]
     py = j.py
     rng = np.random.default_rng(seed)
 
-    R = _candidate_points(j, grid_n, rng, restarts)
+    R = _candidate_points(j, rng, restarts)
     vals = _batch_values(R, W, px, py)
     n_candidates = R.shape[0]
 
@@ -331,7 +334,7 @@ def sstar(
         pick = np.argmax(cand_vals, axis=1)
         new_vals = cand_vals[np.arange(act.shape[0]), pick]
         old_vals = best_vals[act]
-        improved = new_vals > old_vals + tol * np.maximum(1.0, np.abs(old_vals))
+        improved = new_vals > old_vals + ASCENT_TOL * np.maximum(1.0, np.abs(old_vals))
         if not improved.any():
             converged = True
             break
@@ -359,8 +362,8 @@ def sstar(
         {
             "restarts": int(restarts),
             "seed": int(seed),
-            "grid_n": int(grid_n),
-            "tol": float(tol),
+            "grid_n": CANDIDATE_GRID_N,
+            "tol": ASCENT_TOL,
             "candidates": int(n_candidates),
             "ascent_sweeps": int(sweeps),
             "best_denominator_nats": float(den),

@@ -10,12 +10,14 @@ characterize the dependence measures of this package:
 
 This module evaluates the curve, its Hessian on the simplex tangent space,
 the lower convex envelope over a 1-D grid (binary inputs), and the envelope
-touch threshold ``lambda_dagger`` by bisection.  It also scans binary input
-distributions to compare max-over-inputs of rho^2 and of s*, which agree.
+touch threshold ``lambda_dagger``, exact on the grid.  It also scans binary
+input distributions to compare max-over-inputs of rho^2 and of s*, which
+agree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +42,6 @@ from .spectral import binary_rho_squared
 from .sstar import sstar
 
 __all__ = [
-    "TCurveSample",
     "Envelope1D",
     "t_lambda",
     "hessian_t_lambda",
@@ -54,20 +55,8 @@ __all__ = [
 ENVELOPE_GRID_N = 2**12
 #: default gap tolerance, in bits, for declaring an envelope touch
 TOUCH_TOL = 1e-6
-#: tighter touch tolerance used inside the lambda_dagger bisection, where the
-#: declared tolerance would otherwise bias the threshold low (the gap shrinks
-#: roughly linearly in lambda, so a loose touch test fires early)
-DAGGER_TOUCH_TOL = 1e-8
-#: default absolute tolerance on the lambda_dagger threshold
-LAMBDA_TOL = 1e-5
-
-
-@dataclass(frozen=True)
-class TCurveSample:
-    """One evaluation of the curve: input distribution and t_lambda value."""
-
-    r: PMF
-    value: float
+#: intervals of the P(X=0) grid that scan_inputs sweeps
+SCAN_GRID_N = 128
 
 
 @dataclass(frozen=True)
@@ -133,14 +122,15 @@ def _curve_values(W: np.ndarray, p0: np.ndarray, lam: float, scale: float) -> np
     return (_entr(RY).sum(axis=1) - lam * _entr(R).sum(axis=1)) * scale
 
 
-def _lower_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Lower convex envelope of the sampled points, evaluated back on xs.
+def _hull_vertices(xs: np.ndarray, ys: np.ndarray) -> list[int]:
+    """Indices of the lower convex envelope's vertices, in increasing order.
 
     Monotone-chain scan keeping counterclockwise turns: the surviving
     vertices have nondecreasing chord slopes, i.e. they trace the largest
-    convex function lying on or below every sample.  The scan runs on
-    Python floats, whose arithmetic is the same IEEE double arithmetic as
-    numpy's float64 scalars at a fraction of the cost per operation.
+    convex function lying on or below every sample.  A sample on a chord
+    between two vertices is not a vertex.  The scan runs on Python floats,
+    whose arithmetic is the same IEEE double arithmetic as numpy's float64
+    scalars at a fraction of the cost per operation.
     """
     x, y = xs.tolist(), ys.tolist()
     keep: list[int] = []
@@ -153,7 +143,25 @@ def _lower_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
             else:
                 break
         keep.append(i)
+    return keep
+
+
+def _lower_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Lower convex envelope of the sampled points, evaluated back on xs."""
+    keep = _hull_vertices(xs, ys)
     return np.interp(xs, xs[keep], ys[keep])
+
+
+def _binary_grid(c: Channel, grid_n: int) -> np.ndarray:
+    """Uniform grid of P(X=0) with grid_n intervals, for binary-input channels."""
+    if len(c.x_labels) != 2:
+        raise NotBinaryInput(
+            f"1-D envelope needs |X| = 2, got |X| = {len(c.x_labels)}"
+        )
+    grid_n = int(grid_n)
+    if grid_n < 64:
+        raise ValidationError(f"grid_n must be at least 64, got {grid_n}")
+    return np.linspace(0.0, 1.0, grid_n + 1)
 
 
 def lower_envelope_1d(c: Channel, lam: float, grid_n: int = ENVELOPE_GRID_N) -> Envelope1D:
@@ -164,14 +172,7 @@ def lower_envelope_1d(c: Channel, lam: float, grid_n: int = ENVELOPE_GRID_N) -> 
     Binary input alphabets only.
     """
     lam = _check_lambda(lam)
-    if len(c.x_labels) != 2:
-        raise NotBinaryInput(
-            f"1-D envelope needs |X| = 2, got |X| = {len(c.x_labels)}"
-        )
-    grid_n = int(grid_n)
-    if grid_n < 64:
-        raise ValidationError(f"grid_n must be at least 64, got {grid_n}")
-    p0 = np.linspace(0.0, 1.0, grid_n + 1)
+    p0 = _binary_grid(c, grid_n)
     curve = _curve_values(c.pyx, p0, lam, LogBase.BITS.from_nats)
     hull = _lower_hull(p0, curve)
     for a in (p0, curve, hull):
@@ -195,43 +196,57 @@ def touches_envelope(
     return bool(env.curve[i] - env.hull[i] <= tol)
 
 
-def lambda_dagger(
-    c: Channel,
-    tol: float = LAMBDA_TOL,
-    grid_n: int = ENVELOPE_GRID_N,
-    touch_tol: float = DAGGER_TOUCH_TOL,
-) -> float:
+def lambda_dagger(c: Channel, grid_n: int = ENVELOPE_GRID_N) -> float:
     """The smallest lambda at which t_lambda touches its envelope at c.input.
 
-    Bisection on lambda in [0, 1], valid because touching is monotone in
-    lambda: adding a convex function (lambda' - lambda) * (-H) to t_lambda
-    preserves an existing touch point.  The returned threshold equals the
-    strong data-processing constant s*(X;Y) of the channel at its reference
-    input.  At lambda = 1 the curve is convex, so the bracket is always
-    valid; the answer is reported to absolute tolerance ``tol``.
+    Exact on the grid of :func:`lower_envelope_1d`: its point i nearest
+    P(X=0) = c.input.probs[0] touches at lambda iff, over every chord (a, b)
+    with a < i < b, the Jensen gap of H(Y_r) is at most lambda times that of
+    H(r).  So touching is monotone in lambda and the threshold is the
+    largest gap ratio, which Dinkelbach's iteration finds: from
+    lambda = rho^2, never above it, while i is not a vertex of the lower
+    hull of H(Y_r) - lambda * H(r), lambda becomes the gap ratio over the
+    hull chord that brackets i, which is larger.  The answer is
+    max(rho^2, grid threshold), with no tolerance; it equals the strong
+    data-processing constant s*(X;Y) of the channel at its reference input
+    up to the grid's resolution.
     """
-    if touches_envelope(c, 0.0, touch_tol, grid_n):
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if touches_envelope(c, mid, touch_tol, grid_n):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    p0 = _binary_grid(c, grid_n)
+    R = np.column_stack([p0, 1.0 - p0])
+    hy = _entr(R @ c.pyx).sum(axis=1)
+    hx = _entr(R).sum(axis=1)
+    i = int(np.argmin(np.abs(p0 - c.input.probs[0])))
+    # drop the outputs no input reaches, which JointDistribution rejects
+    W = c.pyx[:, c.pyx.sum(axis=0) > 0.0]
+    lam = 0.0  # rho^2 of a constant Y
+    if W.shape[1] > 1:
+        pxy = c.input.probs[:, None] * W
+        lam = binary_rho_squared(joint_from_matrix(pxy, (0, 1), tuple(range(W.shape[1]))))
+    while True:
+        keep = _hull_vertices(p0, hy - lam * hx)
+        k = bisect_left(keep, i)
+        if keep[k] == i:
+            return lam
+        a, b = keep[k - 1], keep[k]
+        w = (b - i) / (b - a)
+        gap_y = hy[i] - (w * hy[a] + (1.0 - w) * hy[b])
+        gap_x = hx[i] - (w * hx[a] + (1.0 - w) * hx[b])
+        # t_1 is convex, so the threshold is at most 1
+        nxt = min(float(gap_y / gap_x), 1.0)
+        if not nxt > lam:
+            return lam
+        lam = nxt
 
 
-def scan_inputs(rows, grid_n: int = 128) -> tuple[float, float]:
+def scan_inputs(rows) -> tuple[float, float]:
     """Max over binary channel inputs of rho^2 and of s*, as a pair.
 
     ``rows`` is the bare 2 x |Y| row-stochastic matrix; the scan sweeps
-    P(X=0) over the interior grid [1/grid_n, 1 - 1/grid_n] and takes
-    :func:`binary_rho_squared` and :func:`sstar` of the joint at each input.
-    The two maxima agree (a result this
-    function also enforces at tolerance 1e-3, raising
-    :class:`NumericalError` otherwise, since disagreement can only come from
-    optimizer failure).
+    P(X=0) over the interior grid [1/n, 1 - 1/n] with n = ``SCAN_GRID_N``
+    and takes :func:`binary_rho_squared` and :func:`sstar` of the joint at
+    each input.  The two maxima agree (a result this function also enforces
+    at tolerance 1e-3, raising :class:`NumericalError` otherwise, since
+    disagreement can only come from optimizer failure).
     """
     W = np.asarray(rows, dtype=float)
     if W.ndim != 2 or W.shape[0] != 2:
@@ -243,9 +258,6 @@ def scan_inputs(rows, grid_n: int = 128) -> tuple[float, float]:
     if np.abs(sums - 1.0).max() > 1e-9:
         raise ValidationError("channel rows must each sum to 1")
     W = W / sums[:, None]
-    grid_n = int(grid_n)
-    if grid_n < 4:
-        raise ValidationError(f"grid_n must be at least 4, got {grid_n}")
 
     # JointDistribution rejects a column no input can reach; it carries no
     # mass at any input, so dropping it changes neither measure
@@ -254,7 +266,8 @@ def scan_inputs(rows, grid_n: int = 128) -> tuple[float, float]:
         return 0.0, 0.0
     max_rho2 = 0.0
     max_sstar = 0.0
-    for p0 in np.linspace(1.0 / grid_n, 1.0 - 1.0 / grid_n, grid_n - 1):
+    n = SCAN_GRID_N
+    for p0 in np.linspace(1.0 / n, 1.0 - 1.0 / n, n - 1):
         j = joint_from_matrix(
             np.array([[p0], [1.0 - p0]]) * W, (0, 1), tuple(range(W.shape[1]))
         )

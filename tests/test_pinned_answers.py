@@ -1,12 +1,16 @@
-"""Exact answers of the s* ascent and the lambda-dagger bisection.
+"""Exact answers of the s* ascent and of lambda-dagger.
 
-The constants were recorded with ``float.hex`` from the implementation that
-advanced every start on every sweep, scored step candidates together with
-their gradients and ran the envelope hull on numpy scalars.  Skipping that
-work must not move a single bit, so the comparisons are exact.  A change
-that is meant to alter these answers must record new constants and say why.
-They are float64 results of numpy 2.4 on an x86-64 CPU with AVX-512; another
-math library may round them differently.
+The ``sstar`` constants were recorded with ``float.hex`` from the
+implementation that advanced every start on every sweep, scored step
+candidates together with their gradients and ran the envelope hull on numpy
+scalars.  Skipping that work must not move a single bit, so the comparisons
+are exact.  The ``lambda_dagger`` constants were re-recorded when its
+bisection to a 1e-5 bracket, with a 1e-8 bit touch tolerance, gave way to
+Dinkelbach's iteration, which returns the exact grid threshold (or rho^2
+when that is larger) with no tolerance.  A change that is meant to alter
+these answers must record new constants and say why.  They are float64
+results of numpy 2.4 on an x86-64 CPU with AVX-512; another math library
+may round them differently.
 """
 
 import numpy as np
@@ -68,10 +72,10 @@ SSTAR_PINNED = {
 
 #: ``lambda_dagger`` of the channel of each joint, with its defaults
 LAMBDA_DAGGER_PINNED = {
-    "fig2": "0x1.4353000000000p-1",
-    "remark3": "0x1.7600000000000p-5",
-    "bsc:0.2": "0x1.7098000000000p-2",
-    "bec:0.25": "0x1.8000000000000p-1",
+    "fig2": "0x1.4354c48812ce0p-1",
+    "remark3": "0x1.761274e71a16ep-5",
+    "bsc:0.2": "0x1.70a3d70a3d710p-2",
+    "bec:0.25": "0x1.8000000000006p-1",
 }
 
 

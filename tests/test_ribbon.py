@@ -8,7 +8,6 @@ import pytest
 from infodep import (
     BadOrder,
     PEqualsOne,
-    RibbonQuery,
     ValidationError,
     binary_rho_squared,
     builtin,
@@ -148,11 +147,14 @@ class TestInRibbon:
     def test_trivial_corner(self, fig2):
         assert in_ribbon(fig2, 1.0, 1.0)
 
-    def test_query_validation(self):
-        with pytest.raises(BadOrder):
-            RibbonQuery(2.0, 3.0)
-        q = RibbonQuery(3.0, 2.0)
-        assert (q.p, q.q) == (3.0, 2.0)
+    def test_seed_reaches_every_probe(self, fig2):
+        # the seed draws the Dirichlet starts, so it moves the gap estimate
+        assert contraction_gap(fig2, 2.0, 1.6, seed=3) != contraction_gap(fig2, 2.0, 1.6)
+        curve = q_star_curve(fig2, (2.0, 4.0), seed=3)
+        assert curve.qstars.tolist() == [q_star(fig2, p, seed=3) for p in (2.0, 4.0)]
+        for q in (1.2, 1.5, 1.6, 1.65, 1.9):
+            gap = contraction_gap(fig2, 2.0, q, seed=3)
+            assert in_ribbon(fig2, 2.0, q, seed=3) == (gap <= GAP_TOL), q
 
 
 class TestQStar:

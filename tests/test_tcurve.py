@@ -7,6 +7,7 @@ import pytest
 
 from infodep import (
     BoundaryPoint,
+    Channel,
     LambdaOutOfRange,
     LogBase,
     NotBinaryInput,
@@ -244,8 +245,8 @@ class TestLambdaDagger:
     def test_grid_doubling_stability(self, fig2):
         c = channel_of(fig2)
         tol = 1e-4
-        a = lambda_dagger(c, tol=tol, grid_n=4096)
-        b = lambda_dagger(c, tol=tol, grid_n=8192)
+        a = lambda_dagger(c, grid_n=4096)
+        b = lambda_dagger(c, grid_n=8192)
         assert abs(a - b) <= tol
 
     def test_dominates_spectral_threshold(self):
@@ -263,6 +264,70 @@ class TestLambdaDagger:
             assert lambda_dagger(c) == pytest.approx(
                 sstar(j).value, abs=1e-3
             )
+
+    def test_rejects_wide_input_and_coarse_grid(self, fig2):
+        rng = np.random.default_rng(2)
+        with pytest.raises(NotBinaryInput):
+            lambda_dagger(channel_of(random_joint(rng, 3, 3)))
+        with pytest.raises(ValidationError):
+            lambda_dagger(channel_of(fig2), grid_n=32)
+
+    def test_unreachable_output_is_ignored(self, fig2):
+        c = channel_of(fig2)
+        padded = Channel(
+            c.x_labels,
+            c.y_labels + ("never",),
+            np.column_stack([c.pyx, np.zeros(2)]),
+            PMF(c.x_labels, c.input.probs),
+        )
+        assert lambda_dagger(padded) == lambda_dagger(c)
+
+    def test_never_above_one(self):
+        # on a nearly noiseless channel the last gap ratio rounds above 1
+        e = 1e-12
+        c = Channel((0, 1), (0, 1), [[1 - e, e], [e, 1 - e]], binary_pmf(0.5))
+        assert lambda_dagger(c) == 1.0
+
+
+def _dagger_cases():
+    rng = np.random.default_rng(59)
+    cases = {name: builtin(name) for name in ("fig2", "remark3", "bsc:0.2", "bec:0.25")}
+    for k in range(5):
+        cases[f"random {k}"] = random_joint(rng, 2, int(rng.integers(2, 5)))
+    return cases
+
+
+class TestLambdaDaggerCrossCheck:
+    """lambda_dagger against a bisection over the touch test.
+
+    Touching is monotone in lambda, so bisecting on touches_envelope finds
+    the same threshold by an independent route.  lambda_dagger is
+    max(rho^2, grid threshold), and rho^2 <= s*, so the bracket starts at
+    rho^2.  The touch tolerance lets the bisection stop a little low: most
+    where the threshold sits just above rho^2 and the gap at p(x) opens
+    only quadratically in lambda.
+    """
+
+    @staticmethod
+    def _bisect(c, lo):
+        if touches_envelope(c, lo, tol=1e-12):
+            return lo
+        hi = 1.0
+        while hi - lo > 1e-10:
+            mid = 0.5 * (lo + hi)
+            if touches_envelope(c, mid, tol=1e-12):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    @pytest.mark.parametrize("name", sorted(_dagger_cases()))
+    def test_matches_touch_bisection(self, name):
+        j = _dagger_cases()[name]
+        c = channel_of(j)
+        lam = lambda_dagger(c)
+        assert touches_envelope(c, lam, tol=1e-12)
+        assert abs(lam - self._bisect(c, binary_rho_squared(j))) <= 1e-7
 
 
 class TestScanInputs:
