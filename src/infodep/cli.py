@@ -157,7 +157,6 @@ def cmd_measures(args) -> int:
     provenance = {
         "seed": args.seed,
         "restarts": args.restarts,
-        "sstar_grid_n": fwd.diagnostics["grid_n"],
         "sstar_tol": fwd.diagnostics["tol"],
     }
     if j.shape[0] == 2:

@@ -15,11 +15,11 @@ for explicit U-decompositions, including the two-point perturbations whose
 ratios climb to s* as the perturbation weight goes to zero.
 
 The supremum may sit on the simplex boundary (it is at a vertex for the
-asymmetric-erasure counterexample), so the optimizer always evaluates all
-vertices, edge grids, and dense grids for small alphabets before running a
-multistart projected-gradient ascent.  A start stops advancing at its first
-sweep without improvement, since a sweep depends on nothing but the start's
-own point and value and would repeat the same failed step.  The sup is
+asymmetric-erasure counterexample), so the vertices are candidates next to
+the witness ray and random starts, whose multiplicative ascent keeps each on
+its face.  Newton steps on the best point's face give the last digits: at a
+maximizer r with ratio lambda, D(r_Y || p_Y) - lambda D(r || p_X) is
+stationary on the face, with Hessian W diag(1/r_Y) W^T - lambda diag(1/r).  The sup is
 reported as the best value found, with no claim of attainment.
 """
 
@@ -73,10 +73,14 @@ SEARCH_EXCLUSION = 1e-9
 #: this small can hide a true ratio only below ~1e-4, which never matters
 #: unless the joint is that close to independent anyway.
 NUM_NOISE_FLOOR = 1e-13
-#: points per dimension of the dense candidate grid for |X| <= 3
-CANDIDATE_GRID_N = 128
 #: relative gain below which an ascent step does not count as improving
 ASCENT_TOL = 1e-9
+#: witness-ray candidates p(x) (1 +- t f): RAY_POINTS values of t each way,
+#: geometric from RAY_START (D ~ t^2/2 nats) out to the simplex boundary
+RAY_START, RAY_POINTS = 6.5e-5, 20
+#: Newton finish: step budget; condition number above which the ratio is
+#: flat along the face; model gain too small for the ratio to judge
+NEWTON_STEPS, NEWTON_MAX_COND, NEWTON_EXACT_GAIN = 8, 1e8, 1e-12
 
 
 @dataclass(frozen=True)
@@ -156,18 +160,6 @@ def kl_ratio(j: JointDistribution, r: PMF, base: LogBase = LogBase.BITS) -> floa
     return float(min(max(num / den, 0.0), 1.0))
 
 
-def _project_rows_to_simplex(V: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    n = V.shape[1]
-    U = -np.sort(-V, axis=1)
-    css = np.cumsum(U, axis=1) - 1.0
-    ks = np.arange(1, n + 1)
-    cond = U - css / ks > 0.0
-    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(V.shape[0]), rho] / (rho + 1.0)
-    return np.maximum(V - theta[:, None], 0.0)
-
-
 def _ratio_terms(R: np.ndarray, RY: np.ndarray, px: np.ndarray, py: np.ndarray):
     """Ratio values, numerators, denominators and the in-domain mask of the
     input rows R whose channel outputs are RY.
@@ -224,42 +216,55 @@ def _batch_gradient(
 def _candidate_points(
     j: JointDistribution, rng: np.random.Generator, restarts: int
 ) -> np.ndarray:
-    """Vertices, small-alphabet grids, edge grids, witness-direction seeds,
-    and Dirichlet restarts, stacked as rows."""
+    """Vertices, witness-ray points and Dirichlet restarts, stacked as rows."""
     nx = j.shape[0]
     px = j.px
     blocks = [np.eye(nx)]
-    if nx == 2:
-        t = np.linspace(0.0, 1.0, CANDIDATE_GRID_N)
-        blocks.append(np.column_stack([t, 1.0 - t]))
-    elif nx == 3:
-        g = CANDIDATE_GRID_N - 1
-        ij = [(i, k) for i in range(g + 1) for k in range(g + 1 - i)]
-        arr = np.array([(i / g, k / g, (g - i - k) / g) for i, k in ij])
-        blocks.append(arr)
-    if 2 <= nx <= 8:
-        t = np.linspace(0.0, 1.0, 33)[1:-1]
-        edges = []
-        for a in range(nx):
-            for b in range(a + 1, nx):
-                E = np.zeros((t.shape[0], nx))
-                E[:, a] = 1.0 - t
-                E[:, b] = t
-                edges.append(E)
-        blocks.append(np.vstack(edges))
     try:
         f = maximal_correlation(j).f
-        seeds = []
-        for t in (6.5e-5, 2.6e-4, 1e-3):
-            for s in (1.0, -1.0):
-                seeds.append(np.maximum(px * (1.0 + s * t * f), 0.0))
-        seeds = np.vstack(seeds)
-        blocks.append(seeds / seeds.sum(axis=1, keepdims=True))
+        for s in (1.0, -1.0):
+            # p(x) (1 + t s f) reaches the simplex boundary at t = 1/max(-s f)
+            t = np.geomspace(RAY_START, 1.0 / np.max(-s * f), RAY_POINTS)
+            ray = np.maximum(px * (1.0 + s * t[:, None] * f), 0.0)
+            blocks.append(ray / ray.sum(axis=1, keepdims=True))
     except DegenerateAlphabet:
         pass
-    if restarts > 0:
-        blocks.append(rng.dirichlet(np.ones(nx), size=restarts))
+    blocks.append(rng.dirichlet(np.ones(nx), size=restarts))
     return np.vstack(blocks)
+
+
+def _newton_finish(
+    r: np.ndarray, value: float, W: np.ndarray, px: np.ndarray, py: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """Where Dinkelbach-Newton steps from r on its face end, each halved until
+    the ratio rises, and whether they ended before NEWTON_STEPS ran out."""
+    s = r > 0.0
+    Ws, pxs = W[s], px[s]
+    for _ in range(NEWTON_STEPS):
+        rs = r[s]
+        ry = np.maximum(rs @ Ws, 1e-300)  # outputs off the face's reach add 0
+        # solved for step / rs, which small entries of r cannot ill-condition
+        M = rs[:, None] * Ws
+        K = np.block([[(M / ry) @ M.T - np.diag(value * rs), rs[:, None]], [rs, 0.0]])
+        if rs.size < 2 or np.linalg.cond(K) > NEWTON_MAX_COND:
+            return r, True
+        g = Ws @ np.log(ry / py) - value * np.log(rs / pxs)
+        step = rs * np.linalg.solve(K, np.append(-rs * g, 0.0))[:-1]
+        model_gain = 0.5 * float(g @ step) / float(_kl_terms(rs, pxs).sum())
+        for t in 0.5 ** np.arange(40):
+            trial = rs + t * step
+            if trial.min() > 0.0:
+                cand = np.zeros_like(r)
+                cand[s] = trial / trial.sum()
+                cand_val = _batch_values(cand[None, :], W, px, py)[0]
+                if cand_val > value or 0.0 < model_gain <= NEWTON_EXACT_GAIN:
+                    break
+        else:
+            return r, True
+        r, value = cand, cand_val
+        if 0.0 < model_gain <= NEWTON_EXACT_GAIN:
+            return r, True
+    return r, False
 
 
 def sstar(
@@ -270,31 +275,27 @@ def sstar(
 ) -> SStarResult:
     """Best-found value of the s* supremum with its maximizing input.
 
-    Candidate generation: all simplex vertices; a dense barycentric grid for
-    |X| <= 3 (``CANDIDATE_GRID_N`` points per dimension); 31-point grids on
-    every edge for |X| <= 8 (products of smaller joints maximize on edges); seeds along
-    the maximal-correlation witness direction just outside the excluded
-    neighborhood of p(x) (their ratios approach the local limit rho^2); and
-    ``restarts`` Dirichlet(1) draws from a generator seeded with ``seed``.
-
-    The best candidates then run a projected-gradient ascent on the ratio
-    with a halving step ladder, until no start improves by more than
-    ``ASCENT_TOL`` relative or ``max_iter`` sweeps pass;
-    ``diagnostics["converged"]`` is False when the sweep cap ended it.  Each sweep advances only the starts
-    that improved on the previous one, in one vectorized batch.  This is
-    exact: a start's sweep depends only on its own point and best value, so
-    a start that failed to improve once would fail again on every later
-    sweep.  ``diagnostics["ascent_row_sweeps"]`` counts the starts advanced,
-    summed over sweeps.  The reported value is exactly the ratio at the
+    Candidates: the simplex vertices, ``RAY_POINTS`` points each way along
+    the witness ray out to the simplex boundary, and ``restarts`` Dirichlet(1)
+    draws seeded with ``seed``.  The best run a multiplicative ascent with a
+    halving step ladder until no start improves by more than ``ASCENT_TOL``
+    relative or ``max_iter`` sweeps pass; a sweep advances only the starts
+    that improved on the last one (``diagnostics["ascent_row_sweeps"]`` sums
+    them), since a start's sweep depends only on its own point and value.
+    Newton steps then finish the best point on its face, and
+    ``diagnostics["converged"]`` is False when the sweep cap ended the ascent
+    or the Newton steps ran out.  The value is exactly the ratio at the
     reported maximizer.
     """
+    if restarts < 0:
+        raise ValidationError(f"restarts must be >= 0, got {restarts!r}")
     nx = j.shape[0]
     px = j.px
     if nx < 2:
         return SStarResult(
             0.0,
             PMF(j.x_labels, px),
-            {"restarts": 0, "seed": seed, "grid_n": CANDIDATE_GRID_N,
+            {"restarts": 0, "seed": seed,
              "tol": ASCENT_TOL, "candidates": 0, "ascent_sweeps": 0,
              "best_denominator_nats": 0.0, "converged": True,
              "ascent_row_sweeps": 0},
@@ -312,7 +313,7 @@ def sstar(
     R = R[keep]
     best_vals = vals[keep]
 
-    alphas = 0.5 ** np.arange(14)
+    alphas = 4.0 * 0.5 ** np.arange(14)
     n_keep, n_steps = R.shape[0], alphas.shape[0]
     # step candidates of start i are rows i*n_steps .. i*n_steps + n_steps-1
     C = np.zeros((n_keep * n_steps, nx))
@@ -324,12 +325,14 @@ def sstar(
         sweeps += 1
         row_sweeps += act.shape[0]
         grad = _batch_gradient(R, W, px, py, act)
-        d = grad - grad.mean(axis=1, keepdims=True)
-        norms = np.linalg.norm(d, axis=1, keepdims=True)
-        d = np.where(norms > 1e-300, d / np.maximum(norms, 1e-300), 0.0)
+        # d: the gradient centred under r, scaled to max |d| = 1 on r's support;
+        # off it d is 0, or the huge log terms there would set the scale
+        d = np.where(R[act] > 0.0, grad - np.sum(R[act] * grad, axis=1, keepdims=True), 0.0)
+        d /= np.maximum(np.abs(d).max(axis=1, keepdims=True), 1e-300)
+        d -= d.max(axis=1, keepdims=True)  # exponents <= 0 cannot overflow
+        steps = R[act, None, :] * np.exp(alphas[None, :, None] * d[:, None, :])
         rows = (act[:, None] * n_steps + np.arange(n_steps)).ravel()
-        steps = R[act, None, :] + alphas[None, :, None] * d[:, None, :]
-        C[rows] = _project_rows_to_simplex(steps.reshape(-1, nx))
+        C[rows] = (steps / steps.sum(axis=2, keepdims=True)).reshape(-1, nx)
         cand_vals = _batch_values(C, W, px, py, rows).reshape(-1, n_steps)
         pick = np.argmax(cand_vals, axis=1)
         new_vals = cand_vals[np.arange(act.shape[0]), pick]
@@ -346,7 +349,7 @@ def sstar(
         best_vals[act] = new_vals[improved]
 
     i = int(np.argmax(best_vals))
-    best_r = R[i]
+    best_r, stationary = _newton_finish(R[i], best_vals[i], W, px, py)
     num, den = _ratio_nats(j, best_r)
     if den < SEARCH_EXCLUSION:
         raise NumericalError(
@@ -362,12 +365,11 @@ def sstar(
         {
             "restarts": int(restarts),
             "seed": int(seed),
-            "grid_n": CANDIDATE_GRID_N,
             "tol": ASCENT_TOL,
             "candidates": int(n_candidates),
             "ascent_sweeps": int(sweeps),
             "best_denominator_nats": float(den),
-            "converged": converged,
+            "converged": converged and stationary,
             "ascent_row_sweeps": int(row_sweeps),
         },
     )

@@ -54,7 +54,7 @@ __all__ = [
 #: default grid resolution (number of intervals) for envelope work
 ENVELOPE_GRID_N = 2**12
 #: default gap tolerance, in bits, for declaring an envelope touch
-TOUCH_TOL = 1e-6
+TOUCH_TOL = 1e-12
 #: intervals of the P(X=0) grid that scan_inputs sweeps
 SCAN_GRID_N = 128
 

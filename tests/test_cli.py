@@ -86,11 +86,15 @@ class TestMeasures:
         code, out, err = run(capsys, "measures", "remark3")
         assert code == 0
         line = next(l for l in out.splitlines() if l.startswith("provenance: "))
-        assert "sstar_grid_n=128 sstar_tol=1e-09" in line
+        assert "restarts=64 sstar_tol=1e-09" in line
         prov = dict(kv.split("=", 1) for kv in line[len("provenance: "):].split())
         diag = sstar(builtin("remark3")).diagnostics
-        assert int(prov["sstar_grid_n"]) == diag["grid_n"]
         assert float(prov["sstar_tol"]) == diag["tol"]
+
+    def test_negative_restarts_exits_2(self, capsys):
+        code, out, err = run(capsys, "measures", "fig2", "--restarts", "-5")
+        assert code == 2
+        assert out == "" and "restarts" in err
 
     def test_independent_binary_input(self, capsys):
         code, out, err = run(capsys, "measures", "independent")
@@ -261,6 +265,11 @@ class TestTensor:
         assert float(resid.split(":")[1]) < 1e-8
         sresid = [l for l in out.splitlines() if "sstar_max_rule_residual" in l][0]
         assert float(sresid.split(":")[1]) < 1e-3
+
+    def test_negative_restarts_exits_2(self, capsys):
+        code, out, err = run(capsys, "tensor", "fig2", "remark3", "--restarts", "-5")
+        assert code == 2
+        assert out == "" and "restarts" in err
 
     def test_oversized_product_exits_3(self, capsys, tmp_path):
         path = tmp_path / "nine.json"

@@ -27,7 +27,7 @@ from infodep import (
     sstar,
     transpose,
 )
-from conftest import random_joint
+from conftest import random_independent, random_joint
 
 FIG2_SSTAR = 0.6315172029168968
 FIG2_MI_OVER_HX = 0.5954372523105548
@@ -116,7 +116,6 @@ class TestSstar:
         for key in (
             "restarts",
             "seed",
-            "grid_n",
             "tol",
             "candidates",
             "ascent_sweeps",
@@ -124,6 +123,10 @@ class TestSstar:
             "converged",
         ):
             assert key in diag
+
+    def test_negative_restarts_rejected(self, fig2):
+        with pytest.raises(ValidationError):
+            sstar(fig2, restarts=-5)
 
     def test_converged_flag(self, fig2, remark3):
         assert sstar(fig2).diagnostics["converged"] is True
@@ -174,6 +177,98 @@ class TestSstarNearP:
         W = j.pxy / j.px[:, None]
         ratio = _fsum_kl(r @ W, j.py) / _fsum_kl(r, j.px)
         assert res.value == pytest.approx(ratio, rel=1e-9, abs=0.0)
+
+
+def _square(seed: int):
+    table = np.random.default_rng(seed).dirichlet(np.ones(16)).reshape(4, 4)
+    return joint_from_matrix(table, tuple(range(4)), tuple(range(4)))
+
+
+def _face_gradient(j, res) -> float:
+    """Largest entry of the ratio's gradient at the maximizer, projected onto
+    the tangent space of the maximizer's face."""
+    r = res.maximizer.probs
+    s = r > 0.0
+    W = j.pxy / j.px[:, None]
+    ry = r @ W
+    m = ry > 0.0
+    den = _fsum_kl(r, j.px)
+    g = W[s][:, m] @ np.log(ry[m] / j.py[m]) - res.value * np.log(r[s] / j.px[s])
+    g = g / den
+    return float(np.abs(g - g.mean()).max())
+
+
+def _phi_sum_rows(R: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """D(r || p) in nats for every row r of R, as sums of p phi(r/p)."""
+    t = R / p
+    safe = np.where(t > 0.0, t, 1.0)
+    terms = np.where(t > 0.0, p * (safe * np.log1p(safe - 1.0) - (safe - 1.0)), p)
+    return terms.sum(axis=1)
+
+
+def _deleted_grid_best(j) -> float:
+    """Best ratio over the candidate grids an earlier search evaluated: a
+    128-point grid for |X| = 2, the 8256-point barycentric grid for |X| = 3,
+    and 31 interior points on every edge for |X| <= 8, with the same
+    exclusion around p(x) (1e-9 nats) and numerator noise floor (1e-13)."""
+    nx = j.shape[0]
+    blocks = []
+    if nx == 2:
+        t = np.linspace(0.0, 1.0, 128)
+        blocks.append(np.column_stack([t, 1.0 - t]))
+    elif nx == 3:
+        g = 127
+        ab = [(a, b) for a in range(g + 1) for b in range(g + 1 - a)]
+        blocks.append(np.array([(a / g, b / g, (g - a - b) / g) for a, b in ab]))
+    t = np.linspace(0.0, 1.0, 33)[1:-1]
+    for a in range(nx):
+        for b in range(a + 1, nx):
+            edge = np.zeros((t.size, nx))
+            edge[:, a] = 1.0 - t
+            edge[:, b] = t
+            blocks.append(edge)
+    R = np.vstack(blocks)
+    den = _phi_sum_rows(R, j.px)
+    num = _phi_sum_rows(R @ (j.pxy / j.px[:, None]), j.py)
+    ok = den > 1e-9
+    ratios = np.where(num < 1e-13, 0.0, num / np.where(ok, den, 1.0))
+    return float(ratios[ok].max())
+
+
+class TestSearchEngine:
+    """The multiplicative ascent with its Newton finish reaches the sup on
+    products, stops where the ratio is stationary on the maximizer's face,
+    and loses nothing that the deleted candidate grids found."""
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("pair", ["J x J", "remark3 x j4"])
+    def test_max_rule_on_products(self, pair, reverse):
+        a, b = (_square(35), _square(35)) if pair == "J x J" else (builtin("remark3"), _square(4))
+        orient = transpose if reverse else (lambda j: j)
+        s_prod = sstar(orient(product(a, b))).value
+        s_max = max(sstar(orient(a)).value, sstar(orient(b)).value)
+        assert abs(s_prod - s_max) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["j4", "J", "remark3 x j4"])
+    def test_stationary_on_face(self, name):
+        if name == "J":
+            j = _square(35)
+        else:
+            j = _square(4) if name == "j4" else product(builtin("remark3"), _square(4))
+        res = sstar(j)
+        assert _face_gradient(j, res) <= 1e-9
+
+    def test_no_loss_against_deleted_grids(self):
+        rng = np.random.default_rng(2026)
+        for k in range(60):
+            nx = int(rng.integers(2, 5))
+            ny = int(rng.integers(2, 5))
+            if k % 20 == 19:
+                j = random_independent(rng, nx, ny)
+            else:
+                j = random_joint(rng, nx, ny)
+            for jj in (j, transpose(j)):
+                assert sstar(jj).value >= _deleted_grid_best(jj) - 1e-12, k
 
 
 class TestUDecomposition:

@@ -297,6 +297,19 @@ def _dagger_cases():
     return cases
 
 
+class TestTouchDefault:
+    """The default touch tolerance is tight enough to tell lambda-dagger
+    from a lambda 1e-4 below it; at 1e-6 bits it said True there on fig2,
+    remark3 and bsc:0.2."""
+
+    @pytest.mark.parametrize("name", ["fig2", "remark3", "bsc:0.2", "bec:0.25"])
+    def test_default_separates_threshold(self, name):
+        c = channel_of(builtin(name))
+        lam = lambda_dagger(c)
+        assert touches_envelope(c, lam)
+        assert not touches_envelope(c, lam - 1e-4)
+
+
 class TestLambdaDaggerCrossCheck:
     """lambda_dagger against a bisection over the touch test.
 
@@ -310,12 +323,12 @@ class TestLambdaDaggerCrossCheck:
 
     @staticmethod
     def _bisect(c, lo):
-        if touches_envelope(c, lo, tol=1e-12):
+        if touches_envelope(c, lo):
             return lo
         hi = 1.0
         while hi - lo > 1e-10:
             mid = 0.5 * (lo + hi)
-            if touches_envelope(c, mid, tol=1e-12):
+            if touches_envelope(c, mid):
                 hi = mid
             else:
                 lo = mid
@@ -326,7 +339,7 @@ class TestLambdaDaggerCrossCheck:
         j = _dagger_cases()[name]
         c = channel_of(j)
         lam = lambda_dagger(c)
-        assert touches_envelope(c, lam, tol=1e-12)
+        assert touches_envelope(c, lam)
         assert abs(lam - self._bisect(c, binary_rho_squared(j))) <= 1e-7
 
 
