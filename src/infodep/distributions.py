@@ -96,6 +96,17 @@ def _clean_probs(arr: np.ndarray, atol: float, what: str) -> np.ndarray:
     return arr / s
 
 
+def _clean_rows(arr: np.ndarray) -> np.ndarray:
+    """Validate the rows of a channel matrix as pmfs, return them renormalized."""
+    if arr.min() < -NEG_ATOL:
+        raise NegativeEntry(f"channel row entry {arr.min()!r} is negative")
+    arr = np.maximum(arr, 0.0)
+    sums = arr.sum(axis=1)
+    if np.abs(sums - 1.0).max() > INGEST_ATOL:
+        raise SumNotOne("channel rows must each sum to 1")
+    return arr / sums[:, None]
+
+
 @dataclass(frozen=True)
 class PMF:
     """A probability mass function over an ordered tuple of labels.
@@ -177,13 +188,7 @@ class Channel:
             raise ValidationError(
                 f"channel shape {arr.shape} does not match labels"
             )
-        if arr.min() < -NEG_ATOL:
-            raise NegativeEntry(f"channel row entry {arr.min()!r} is negative")
-        arr = np.maximum(arr, 0.0)
-        sums = arr.sum(axis=1)
-        if np.abs(sums - 1.0).max() > INGEST_ATOL:
-            raise SumNotOne("channel rows must each sum to 1")
-        arr = arr / sums[:, None]
+        arr = _clean_rows(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "pyx", arr)
         if self.input.labels != self.x_labels:

@@ -48,7 +48,8 @@ __all__ = [
     "conjugate",
 ]
 
-#: Dirichlet multistart count for the inner maximization
+#: Dirichlet multistart count for the inner maximization when |Y| > 8; for
+#: |Y| <= 8 the seeds are cheap and 288 are drawn
 GAP_RESTARTS = 32
 #: fixed-point sweeps per seed batch
 GAP_MAX_ITER = 300
@@ -116,9 +117,8 @@ def _gap(j: JointDistribution, p: float, q: float, stop_above: float, seed: int)
     rng = np.random.default_rng(seed)
     cols = [np.full((ny, ny), -np.inf), np.zeros((ny, 1))]
     np.fill_diagonal(cols[0], 0.0)
-    cols.append(np.log(rng.dirichlet(np.ones(ny), size=GAP_RESTARTS).T))
-    if ny <= 8:
-        cols.append(np.log(rng.dirichlet(np.ones(ny), size=256).T))
+    n_seeds = 288 if ny <= 8 else GAP_RESTARTS
+    cols.append(np.log(rng.dirichlet(np.ones(ny), size=n_seeds).T))
     logG = np.concatenate(cols, axis=1)
 
     def normalize(lg: np.ndarray) -> np.ndarray:
@@ -148,8 +148,8 @@ def contraction_gap(j: JointDistribution, p: float, q: float, seed: int = 0) -> 
     A value <= 0 means the (p, q) contraction holds empirically.  The
     constant function is always a seed, so the estimate is never negative;
     it is a lower bound on the true supremum (see module docstring).  The
-    ``GAP_RESTARTS`` Dirichlet seeds are drawn from a generator seeded with
-    ``seed``; the sweeps stop after ``GAP_MAX_ITER`` sweeps or once log g
+    Dirichlet seeds, 288 of them when |Y| <= 8 and ``GAP_RESTARTS`` = 32
+    otherwise, are drawn from a generator seeded with ``seed``; the sweeps stop after ``GAP_MAX_ITER`` sweeps or once log g
     moves by less than ``GAP_CONV_TOL``.
 
     Special cases solved exactly: p = 1 gives 0 (both norms are E[g]); q = 1

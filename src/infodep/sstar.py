@@ -133,13 +133,6 @@ class SStarResult:
     diagnostics: dict
 
 
-def _ratio_nats(j: JointDistribution, r: np.ndarray) -> tuple[float, float]:
-    """(numerator, denominator) of the ratio at r, both in nats."""
-    den = float(_kl_terms(r, j.px).sum())
-    num = float(_kl_terms(r @ (j.pxy / j.px[:, None]), j.py).sum())
-    return num, den
-
-
 def kl_ratio(j: JointDistribution, r: PMF, base: LogBase = LogBase.BITS) -> float:
     """D(r_Y || p_Y) / D(r || p_X), the objective of the s* supremum.
 
@@ -149,20 +142,18 @@ def kl_ratio(j: JointDistribution, r: PMF, base: LogBase = LogBase.BITS) -> floa
     """
     if r.labels != j.x_labels:
         raise LabelMismatch("r is not on the joint's X alphabet")
-    num, den = _ratio_nats(j, r.probs)
+    value, den = _ratio_at(r.probs, j.pxy / j.px[:, None], j.px, j.py)
     if den < RATIO_MIN_DEN:
         raise RTooCloseToP(
             f"D(r || p) = {den!r} nats is below {RATIO_MIN_DEN}; "
             "the ratio is undefined at r = p"
         )
-    if num < NUM_NOISE_FLOOR:
-        return 0.0
-    return float(min(max(num / den, 0.0), 1.0))
+    return value
 
 
 def _ratio_terms(R: np.ndarray, RY: np.ndarray, px: np.ndarray, py: np.ndarray):
     """Ratio values, numerators, denominators and the in-domain mask of the
-    input rows R whose channel outputs are RY.
+    input rows R whose channel outputs are RY, all in nats.
 
     Rows inside the excluded neighborhood of px get value -inf; rows whose
     numerator sits below the float noise floor get the honest value 0.
@@ -176,36 +167,41 @@ def _ratio_terms(R: np.ndarray, RY: np.ndarray, px: np.ndarray, py: np.ndarray):
     return np.where(ok, ratios, -np.inf), num, den, ok
 
 
-# The two batch functions below take every start's rows but work out only
-# those in ``rows``.  Their matrix products still run over the whole batch,
-# because BLAS may round a row differently when the batch shape changes, and
-# the ascent's answers must not depend on which starts are still active.
+def _ratio_at(
+    r: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray
+) -> tuple[float, float]:
+    """The reported ratio at the one input r and its denominator in nats.
+
+    A numerator below ``NUM_NOISE_FLOOR`` gives 0; otherwise the value is
+    clamped to [0, 1], the range of the true ratio.
+    """
+    _, num, den, _ = _ratio_terms(r[None, :], r[None, :] @ W, px, py)
+    num, den = float(num[0]), float(den[0])
+    if num < NUM_NOISE_FLOOR:
+        return 0.0, den
+    return min(max(num / den, 0.0), 1.0), den
 
 
 def _batch_values(
-    R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray, rows=slice(None)
+    R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray
 ) -> np.ndarray:
-    """Ratio values at rows ``rows`` of the batch of input rows R."""
-    return _ratio_terms(R[rows], (R @ W)[rows], px, py)[0]
+    """Ratio values at the input rows R."""
+    return _ratio_terms(R, R @ W, px, py)[0]
 
 
 def _batch_gradient(
-    R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray, rows: np.ndarray
+    R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray
 ) -> np.ndarray:
-    """Ratio gradients at rows ``rows`` of the batch of input rows R.
+    """Ratio gradients at the input rows R.
 
     Rows inside the excluded neighborhood of px get a zero gradient.  Log
     arguments are floored at 1e-300 so boundary rows produce large finite
     subgradient components instead of nan.
     """
-    RY_all = R @ W
-    R, RY = R[rows], RY_all[rows]
+    RY = R @ W
     _, num, den, ok = _ratio_terms(R, RY, px, py)
-    log_ry = np.zeros_like(RY_all)
-    log_ry[rows] = np.log(np.maximum(RY, 1e-300) / py)
-    log_r = np.log(np.maximum(R, 1e-300) / px)
-    g_num = ((log_ry + 1.0) @ W.T)[rows]
-    g_den = log_r + 1.0
+    g_num = (np.log(np.maximum(RY, 1e-300) / py) + 1.0) @ W.T
+    g_den = np.log(np.maximum(R, 1e-300) / px) + 1.0
     with np.errstate(invalid="ignore"):
         grad = (den[:, None] * g_num - num[:, None] * g_den) / np.maximum(
             den**2, 1e-300
@@ -250,7 +246,7 @@ def _newton_finish(
             return r, True
         g = Ws @ np.log(ry / py) - value * np.log(rs / pxs)
         step = rs * np.linalg.solve(K, np.append(-rs * g, 0.0))[:-1]
-        model_gain = 0.5 * float(g @ step) / float(_kl_terms(rs, pxs).sum())
+        model_gain = 0.5 * float(g @ step) / _ratio_at(r, W, px, py)[1]
         for t in 0.5 ** np.arange(40):
             trial = rs + t * step
             if trial.min() > 0.0:
@@ -279,12 +275,13 @@ def sstar(
     the witness ray out to the simplex boundary, and ``restarts`` Dirichlet(1)
     draws seeded with ``seed``.  The best run a multiplicative ascent with a
     halving step ladder until no start improves by more than ``ASCENT_TOL``
-    relative or ``max_iter`` sweeps pass; a sweep advances only the starts
-    that improved on the last one (``diagnostics["ascent_row_sweeps"]`` sums
-    them), since a start's sweep depends only on its own point and value.
-    Newton steps then finish the best point on its face, and
-    ``diagnostics["converged"]`` is False when the sweep cap ended the ascent
-    or the Newton steps ran out.  The value is exactly the ratio at the
+    relative or ``max_iter`` sweeps pass.  A sweep batches only the active
+    starts, those that improved on the last sweep
+    (``diagnostics["ascent_row_sweeps"]`` sums them): a start's sweep depends
+    only on its own point and value, up to ~1e-16 of BLAS rounding that
+    varies with the batch shape.  Newton steps then finish the best point on
+    its face, and ``diagnostics["converged"]`` is False when the sweep cap
+    ended the ascent or the Newton steps ran out.  The value is exactly the ratio at the
     reported maximizer.
     """
     if restarts < 0:
@@ -314,26 +311,23 @@ def sstar(
     best_vals = vals[keep]
 
     alphas = 4.0 * 0.5 ** np.arange(14)
-    n_keep, n_steps = R.shape[0], alphas.shape[0]
-    # step candidates of start i are rows i*n_steps .. i*n_steps + n_steps-1
-    C = np.zeros((n_keep * n_steps, nx))
-    act = np.arange(n_keep)
+    act = np.arange(R.shape[0])
     sweeps = 0
     row_sweeps = 0
     converged = False
     for _ in range(max_iter):
         sweeps += 1
         row_sweeps += act.shape[0]
-        grad = _batch_gradient(R, W, px, py, act)
+        Ra = R[act]
+        grad = _batch_gradient(Ra, W, px, py)
         # d: the gradient centred under r, scaled to max |d| = 1 on r's support;
         # off it d is 0, or the huge log terms there would set the scale
-        d = np.where(R[act] > 0.0, grad - np.sum(R[act] * grad, axis=1, keepdims=True), 0.0)
+        d = np.where(Ra > 0.0, grad - np.sum(Ra * grad, axis=1, keepdims=True), 0.0)
         d /= np.maximum(np.abs(d).max(axis=1, keepdims=True), 1e-300)
         d -= d.max(axis=1, keepdims=True)  # exponents <= 0 cannot overflow
-        steps = R[act, None, :] * np.exp(alphas[None, :, None] * d[:, None, :])
-        rows = (act[:, None] * n_steps + np.arange(n_steps)).ravel()
-        C[rows] = (steps / steps.sum(axis=2, keepdims=True)).reshape(-1, nx)
-        cand_vals = _batch_values(C, W, px, py, rows).reshape(-1, n_steps)
+        steps = Ra[:, None, :] * np.exp(alphas[None, :, None] * d[:, None, :])
+        steps /= steps.sum(axis=2, keepdims=True)
+        cand_vals = _batch_values(steps.reshape(-1, nx), W, px, py).reshape(steps.shape[:2])
         pick = np.argmax(cand_vals, axis=1)
         new_vals = cand_vals[np.arange(act.shape[0]), pick]
         old_vals = best_vals[act]
@@ -341,24 +335,20 @@ def sstar(
         if not improved.any():
             converged = True
             break
-        # a sweep is a function of (R[i], best_vals[i]) alone, so a start
-        # that did not improve would repeat the same failed step on every
-        # later sweep: only the starts that improved stay active
+        # a start that did not improve would repeat the same failed step on
+        # every later sweep, so it retires for good; its sweep depends on the
+        # batch only through BLAS rounding (~1e-16 against the ASCENT_TOL test)
         act = act[improved]
-        R[act] = C[act * n_steps + pick[improved]]
+        R[act] = steps[improved, pick[improved]]
         best_vals[act] = new_vals[improved]
 
     i = int(np.argmax(best_vals))
     best_r, stationary = _newton_finish(R[i], best_vals[i], W, px, py)
-    num, den = _ratio_nats(j, best_r)
+    value, den = _ratio_at(best_r, W, px, py)
     if den < SEARCH_EXCLUSION:
         raise NumericalError(
             "optimizer returned a point inside the excluded neighborhood"
         )
-    if num < NUM_NOISE_FLOOR:
-        value = 0.0
-    else:
-        value = float(min(max(num / den, 0.0), 1.0))
     return SStarResult(
         value,
         PMF(j.x_labels, best_r),
@@ -404,8 +394,9 @@ def ratio_for_u(
     px, py = j.px, j.py
     W = j.pxy / px[:, None]
     Ry = Rx @ W
-    i_ux = float(w @ _kl_terms(Rx, px).sum(axis=1)) * scale
-    i_uy = float(w @ _kl_terms(Ry, py).sum(axis=1)) * scale
+    _, num, den, _ = _ratio_terms(Rx, Ry, px, py)
+    i_ux = float(w @ den) * scale
+    i_uy = float(w @ num) * scale
 
     jux = JointDistribution(labels_u, j.x_labels, w[:, None] * Rx)
     juy = JointDistribution(labels_u, j.y_labels, w[:, None] * Ry)
@@ -462,7 +453,7 @@ def perturbation_sequence(
     if r_star.labels != j.x_labels:
         raise LabelMismatch("r* is not on the joint's X alphabet")
     px = j.px
-    if float(_kl_terms(r_star.probs, px).sum()) < RATIO_MIN_DEN:
+    if _ratio_at(r_star.probs, j.pxy / px[:, None], px, j.py)[1] < RATIO_MIN_DEN:
         raise RTooCloseToP("r* coincides with p(x); perturbations do nothing")
     out = []
     for eps in eps_list:

@@ -24,8 +24,10 @@ import numpy as np
 
 from .distributions import (
     Channel,
+    JointDistribution,
     LogBase,
     PMF,
+    _clean_rows,
     _entr,
     entropy,
     joint_from_matrix,
@@ -115,13 +117,6 @@ def hessian_t_lambda(c: Channel, r: PMF, lam: float) -> np.ndarray:
     return 0.5 * (reduced + reduced.T)
 
 
-def _curve_values(W: np.ndarray, p0: np.ndarray, lam: float, scale: float) -> np.ndarray:
-    """Vectorized t_lambda over binary inputs (p0, 1-p0), in the chosen base."""
-    R = np.column_stack([p0, 1.0 - p0])
-    RY = R @ W
-    return (_entr(RY).sum(axis=1) - lam * _entr(R).sum(axis=1)) * scale
-
-
 def _hull_vertices(xs: np.ndarray, ys: np.ndarray) -> list[int]:
     """Indices of the lower convex envelope's vertices, in increasing order.
 
@@ -152,8 +147,9 @@ def _lower_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.interp(xs, xs[keep], ys[keep])
 
 
-def _binary_grid(c: Channel, grid_n: int) -> np.ndarray:
-    """Uniform grid of P(X=0) with grid_n intervals, for binary-input channels."""
+def _entropy_grid(c: Channel, grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The uniform grid of P(X=0) with grid_n intervals for a binary-input
+    channel, and H(Y_r) and H(r) in nats at its inputs r."""
     if len(c.x_labels) != 2:
         raise NotBinaryInput(
             f"1-D envelope needs |X| = 2, got |X| = {len(c.x_labels)}"
@@ -161,7 +157,20 @@ def _binary_grid(c: Channel, grid_n: int) -> np.ndarray:
     grid_n = int(grid_n)
     if grid_n < 64:
         raise ValidationError(f"grid_n must be at least 64, got {grid_n}")
-    return np.linspace(0.0, 1.0, grid_n + 1)
+    p0 = np.linspace(0.0, 1.0, grid_n + 1)
+    R = np.column_stack([p0, 1.0 - p0])
+    return p0, _entr(R @ c.pyx).sum(axis=1), _entr(R).sum(axis=1)
+
+
+def _reachable_joint(px: np.ndarray, W: np.ndarray) -> JointDistribution | None:
+    """The joint of input px through the channel rows W on the outputs some
+    input reaches; None when only one is reached, so Y is constant and rho^2
+    and s* are 0.  JointDistribution rejects an unreached output, which
+    carries no mass, so dropping it changes neither measure."""
+    W = W[:, W.sum(axis=0) > 0.0]
+    if W.shape[1] < 2:
+        return None
+    return joint_from_matrix(px[:, None] * W, (0, 1), tuple(range(W.shape[1])))
 
 
 def lower_envelope_1d(c: Channel, lam: float, grid_n: int = ENVELOPE_GRID_N) -> Envelope1D:
@@ -172,8 +181,8 @@ def lower_envelope_1d(c: Channel, lam: float, grid_n: int = ENVELOPE_GRID_N) -> 
     Binary input alphabets only.
     """
     lam = _check_lambda(lam)
-    p0 = _binary_grid(c, grid_n)
-    curve = _curve_values(c.pyx, p0, lam, LogBase.BITS.from_nats)
+    p0, hy, hx = _entropy_grid(c, grid_n)
+    curve = (hy - lam * hx) * LogBase.BITS.from_nats
     hull = _lower_hull(p0, curve)
     for a in (p0, curve, hull):
         a.setflags(write=False)
@@ -211,17 +220,10 @@ def lambda_dagger(c: Channel, grid_n: int = ENVELOPE_GRID_N) -> float:
     data-processing constant s*(X;Y) of the channel at its reference input
     up to the grid's resolution.
     """
-    p0 = _binary_grid(c, grid_n)
-    R = np.column_stack([p0, 1.0 - p0])
-    hy = _entr(R @ c.pyx).sum(axis=1)
-    hx = _entr(R).sum(axis=1)
+    p0, hy, hx = _entropy_grid(c, grid_n)
     i = int(np.argmin(np.abs(p0 - c.input.probs[0])))
-    # drop the outputs no input reaches, which JointDistribution rejects
-    W = c.pyx[:, c.pyx.sum(axis=0) > 0.0]
-    lam = 0.0  # rho^2 of a constant Y
-    if W.shape[1] > 1:
-        pxy = c.input.probs[:, None] * W
-        lam = binary_rho_squared(joint_from_matrix(pxy, (0, 1), tuple(range(W.shape[1]))))
+    j = _reachable_joint(c.input.probs, c.pyx)
+    lam = 0.0 if j is None else binary_rho_squared(j)
     while True:
         keep = _hull_vertices(p0, hy - lam * hx)
         k = bisect_left(keep, i)
@@ -251,26 +253,14 @@ def scan_inputs(rows) -> tuple[float, float]:
     W = np.asarray(rows, dtype=float)
     if W.ndim != 2 or W.shape[0] != 2:
         raise NotBinaryInput(f"input scan needs 2 channel rows, got shape {W.shape}")
-    if W.min() < -1e-12:
-        raise ValidationError("channel rows must be nonnegative")
-    W = np.maximum(W, 0.0)
-    sums = W.sum(axis=1)
-    if np.abs(sums - 1.0).max() > 1e-9:
-        raise ValidationError("channel rows must each sum to 1")
-    W = W / sums[:, None]
-
-    # JointDistribution rejects a column no input can reach; it carries no
-    # mass at any input, so dropping it changes neither measure
-    W = W[:, W.sum(axis=0) > 0.0]
-    if W.shape[1] < 2:  # Y is constant: both measures are 0 at every input
-        return 0.0, 0.0
+    W = _clean_rows(W)
     max_rho2 = 0.0
     max_sstar = 0.0
     n = SCAN_GRID_N
     for p0 in np.linspace(1.0 / n, 1.0 - 1.0 / n, n - 1):
-        j = joint_from_matrix(
-            np.array([[p0], [1.0 - p0]]) * W, (0, 1), tuple(range(W.shape[1]))
-        )
+        j = _reachable_joint(np.array([p0, 1.0 - p0]), W)
+        if j is None:
+            return 0.0, 0.0
         max_rho2 = max(max_rho2, binary_rho_squared(j))
         max_sstar = max(max_sstar, sstar(j).value)
     if abs(max_rho2 - max_sstar) > 1e-3:

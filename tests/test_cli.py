@@ -121,6 +121,18 @@ class TestMeasures:
         assert code == 0
         assert "lambda_dagger" not in out
 
+    @pytest.mark.parametrize(
+        "x_labels, y_labels, pxy",
+        [([0], [0, 1], [[0.3, 0.7]]), ([0, 1], [0], [[0.3], [0.7]])],
+        ids=["1x2", "2x1"],
+    )
+    def test_single_symbol_alphabet_exits_3(self, capsys, tmp_path, x_labels, y_labels, pxy):
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps({"x_labels": x_labels, "y_labels": y_labels, "pxy": pxy}))
+        code, out, err = run(capsys, "measures", str(path))
+        assert code == 3
+        assert err.startswith("error:")
+
 
 class TestCounterexample:
     def test_table_and_verdict(self, capsys):

@@ -27,6 +27,7 @@ from infodep import (
     sstar,
     transpose,
 )
+from infodep.sstar import _batch_gradient, _batch_values
 from conftest import random_independent, random_joint
 
 FIG2_SSTAR = 0.6315172029168968
@@ -135,6 +136,13 @@ class TestSstar:
         capped = sstar(product(remark3, j4), max_iter=1).diagnostics
         assert capped["ascent_sweeps"] == 1
         assert capped["converged"] is False
+
+    def test_single_symbol_input_gives_zero_at_px(self, fig2):
+        j = joint_from_matrix([[0.3, 0.7]], (0,), (0, 1))
+        res = sstar(j)
+        assert res.value == 0.0
+        np.testing.assert_array_equal(res.maximizer.probs, j.px)
+        assert res.diagnostics.keys() == sstar(fig2).diagnostics.keys()
 
     def test_row_sweeps_count_only_active_starts(self, remark3):
         table = np.random.default_rng(4).dirichlet(np.ones(16)).reshape(4, 4)
@@ -269,6 +277,45 @@ class TestSearchEngine:
                 j = random_joint(rng, nx, ny)
             for jj in (j, transpose(j)):
                 assert sstar(jj).value >= _deleted_grid_best(jj) - 1e-12, k
+
+
+def _kernel_args(j):
+    return j.pxy / j.px[:, None], j.px, j.py
+
+
+class TestRatioKernel:
+    """The ascent's batch kernel: its gradient is the ratio's derivative, and
+    a row's value and gradient do not depend on the batch around it."""
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 4)])
+    def test_gradient_matches_central_differences(self, shape):
+        rng = np.random.default_rng(11)
+        j = random_joint(rng, *shape)
+        nx = shape[0]
+        R = rng.dirichlet(np.full(nx, 5.0), size=4)  # interior rows
+        grads = _batch_gradient(R, *_kernel_args(j))
+        h = 1e-6  # truncation error ~1e-10 here, rounding ~1e-10
+        for r, g in zip(R, grads):
+            for _ in range(3):
+                v = rng.normal(size=nx)
+                v -= v.mean()  # tangent to the simplex
+                v /= np.abs(v).max()
+                up = kl_ratio(j, PMF(j.x_labels, r + h * v))
+                down = kl_ratio(j, PMF(j.x_labels, r - h * v))
+                assert g @ v == pytest.approx((up - down) / (2 * h), abs=1e-8)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 4)])
+    def test_row_alone_matches_row_in_batch(self, shape):
+        rng = np.random.default_rng(12)
+        j = random_joint(rng, *shape)
+        args = _kernel_args(j)
+        R = rng.dirichlet(np.ones(shape[0]), size=50)
+        vals, grads = _batch_values(R, *args), _batch_gradient(R, *args)
+        for r, val, g in zip(R, vals, grads):
+            alone_val = _batch_values(r[None, :], *args)[0]
+            alone_g = _batch_gradient(r[None, :], *args)[0]
+            assert abs(alone_val - val) <= 1e-13 * abs(val)
+            assert np.abs(alone_g - g).max() <= 1e-13 * np.abs(g).max()
 
 
 class TestUDecomposition:

@@ -25,7 +25,7 @@ from infodep import (
     touches_envelope,
 )
 from conftest import random_joint
-from infodep.tcurve import _curve_values, _lower_hull
+from infodep.tcurve import _entropy_grid, _lower_hull
 
 FIG2_SSTAR = 0.6315172029168968
 
@@ -168,8 +168,8 @@ class TestLowerHull:
 
     @pytest.mark.parametrize("lam", [0.5, 0.7])
     def test_fig2_curve_samples(self, fig2, lam):
-        xs = np.linspace(0.0, 1.0, 201)
-        ys = _curve_values(channel_of(fig2).pyx, xs, lam, LogBase.BITS.from_nats)
+        xs, hy, hx = _entropy_grid(channel_of(fig2), 200)
+        ys = (hy - lam * hx) * LogBase.BITS.from_nats
         np.testing.assert_allclose(_lower_hull(xs, ys), _brute_lower_hull(xs, ys), rtol=0, atol=1e-12)
 
 
