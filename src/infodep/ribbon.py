@@ -26,10 +26,16 @@ probe stops at the first sweep whose gap is above the tolerance: the
 remaining sweeps could only raise it, and the answer is exactly the one the
 full :func:`contraction_gap` run gives.  Probes outside the ribbon usually
 cross in one or two sweeps instead of running all ``GAP_MAX_ITER``.
+
+A sweep's arrays hold about |X|·|Y|·290 entries, so numpy's overhead per
+call sets its cost: reductions call ``ufunc.reduce`` directly, not through
+the Python wrappers ``np.max``, ``np.sum`` and ``np.nanmax``, and one
+``np.errstate`` covers the whole loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +67,8 @@ GAP_TOL = 1e-9
 QSTAR_TOL = 1e-4
 #: hard cap on bisection iterations
 QSTAR_MAX_BISECT = 60
+#: the clamp on a non-finite slice maximum in the log-sum-exp shift
+_FMAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -74,29 +82,38 @@ class QStarCurve:
 
 def _check_orders(p: float, q: float) -> tuple[float, float]:
     p, q = float(p), float(q)
-    if p < 1.0 or q < 1.0:
-        raise ValidationError(f"exponents must be >= 1, got p = {p!r}, q = {q!r}")
+    if not (1.0 <= p < math.inf and 1.0 <= q < math.inf):
+        raise ValidationError(f"exponents must be finite and >= 1: p = {p!r}, q = {q!r}")
     if q > p:
         raise BadOrder(f"q = {q!r} exceeds p = {p!r}; only q <= p is meaningful here")
     return p, q
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along ``axis``, shifted by the slice maximum.
+    """log(sum(exp(a))) along ``axis``, shifted by the slice maximum m.
 
-    An all -inf slice gives -inf (its shift is taken as 0, not -inf).
+    An all -inf slice gives -inf, a slice holding +inf gives +inf and one
+    holding nan gives nan, none of them with a floating-point warning.  The
+    shift is m clamped to the finite range, so it is m on every finite
+    slice; there the sum is at least exp(0) = 1, and raising it to 1 changes
+    only the all -inf slice, whose log(1) = 0 then takes m = -inf back.
     """
-    shift = np.max(a, axis=axis, keepdims=True)
-    shift[~np.isfinite(shift)] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(a - shift), axis=axis)) + np.squeeze(shift, axis=axis)
+    top = np.maximum.reduce(a, axis, keepdims=True)
+    terms = a - top.clip(-_FMAX, _FMAX)
+    total = np.add.reduce(np.exp(terms, out=terms), axis)
+    np.log(np.maximum(total, 1.0, out=total), out=total)
+    return np.add(total, top.squeeze(axis), out=total)
 
 
-def _gap(j: JointDistribution, p: float, q: float, stop_above: float, seed: int) -> float:
-    """contraction_gap, returning once the running gap exceeds ``stop_above``.
+def _gap(
+    j: JointDistribution, p: float, q: float, stop_above: float, seed: int
+) -> tuple[float, int]:
+    """contraction_gap and the number of sweeps run, returning once the
+    running gap exceeds ``stop_above``.
 
     The gap only grows over sweeps, so the early return changes the value
-    but never which side of ``stop_above`` it lies on.
+    but never which side of ``stop_above`` it lies on.  The exact p = 1 and
+    q = 1 cases run no sweep.
     """
     p, q = _check_orders(p, q)
     nx, ny = j.shape
@@ -107,12 +124,12 @@ def _gap(j: JointDistribution, p: float, q: float, stop_above: float, seed: int)
     logpx, logpy = np.log(px), np.log(py)
 
     if p - 1.0 < 1e-12:
-        return 0.0
+        return 0.0, 0
     if q - 1.0 < 1e-12:
         with np.errstate(invalid="ignore"):
             log_tg = logW - logpy[None, :]
             log_norms = _logsumexp(logpx[:, None] + p * log_tg, axis=0) / p
-        return float(max(np.max(np.expm1(log_norms)), 0.0))
+        return float(max(np.max(np.expm1(log_norms)), 0.0)), 0
 
     rng = np.random.default_rng(seed)
     cols = [np.full((ny, ny), -np.inf), np.zeros((ny, 1))]
@@ -121,25 +138,29 @@ def _gap(j: JointDistribution, p: float, q: float, stop_above: float, seed: int)
     cols.append(np.log(rng.dirichlet(np.ones(ny), size=n_seeds).T))
     logG = np.concatenate(cols, axis=1)
 
+    pm1, qm1 = p - 1.0, q - 1.0
+    logW3, logB3 = logW[:, :, None], logB[:, :, None]
+    logpx2, logpy2 = logpx[:, None], logpy[:, None]
+
     def normalize(lg: np.ndarray) -> np.ndarray:
-        return lg - _logsumexp(logpy[:, None] + q * lg, axis=0) / q
+        return lg - _logsumexp(logpy2 + q * lg, axis=0) / q
 
     best_log = -np.inf
     with np.errstate(all="ignore"):
         logG = normalize(logG)
-        for _ in range(GAP_MAX_ITER):
-            log_tg = _logsumexp(logW[:, :, None] + logG[None, :, :], axis=1)
-            log_norms = _logsumexp(logpx[:, None] + p * log_tg, axis=0) / p
-            best_log = max(best_log, float(np.max(log_norms)))
+        for sweeps in range(1, GAP_MAX_ITER + 1):
+            log_tg = _logsumexp(logW3 + logG, axis=1)
+            log_norms = _logsumexp(logpx2 + p * log_tg, axis=0) / p
+            best_log = max(best_log, float(np.maximum.reduce(log_norms)))
             if np.expm1(best_log) > stop_above:
                 break
-            logm = _logsumexp(logB[:, :, None] + (p - 1.0) * log_tg[:, None, :], axis=0)
-            new = normalize(logm / (q - 1.0))
-            delta = np.abs(new - logG)
+            logm = _logsumexp(logB3 + pm1 * log_tg[:, None, :], axis=0)
+            new = normalize(logm / qm1)
+            delta = new - logG
             logG = new
-            if np.nanmax(delta) < GAP_CONV_TOL:
+            if np.fmax.reduce(np.abs(delta, out=delta), None) < GAP_CONV_TOL:
                 break
-    return float(max(np.expm1(best_log), 0.0))
+    return float(max(np.expm1(best_log), 0.0)), sweeps
 
 
 def contraction_gap(j: JointDistribution, p: float, q: float, seed: int = 0) -> float:
@@ -149,15 +170,16 @@ def contraction_gap(j: JointDistribution, p: float, q: float, seed: int = 0) -> 
     constant function is always a seed, so the estimate is never negative;
     it is a lower bound on the true supremum (see module docstring).  The
     Dirichlet seeds, 288 of them when |Y| <= 8 and ``GAP_RESTARTS`` = 32
-    otherwise, are drawn from a generator seeded with ``seed``; the sweeps stop after ``GAP_MAX_ITER`` sweeps or once log g
-    moves by less than ``GAP_CONV_TOL``.
+    otherwise, are drawn from a generator seeded with ``seed``.  The sweeps
+    stop once log g moves by less than ``GAP_CONV_TOL`` or after
+    ``GAP_MAX_ITER`` of them, whichever comes first.
 
     Special cases solved exactly: p = 1 gives 0 (both norms are E[g]); q = 1
     makes the feasible set { g >= 0, E[g] = 1 } with a convex objective, so
     the maximum sits at an extreme point g = indicator(y)/p(y) and all |Y|
     of them are evaluated directly.
     """
-    return _gap(j, p, q, np.inf, seed)
+    return _gap(j, p, q, np.inf, seed)[0]
 
 
 def in_ribbon(j: JointDistribution, p: float, q: float, seed: int = 0) -> bool:
@@ -167,7 +189,7 @@ def in_ribbon(j: JointDistribution, p: float, q: float, seed: int = 0) -> bool:
     answer is the one the full contraction_gap run with the same ``seed``
     gives.
     """
-    return _gap(j, p, q, GAP_TOL, seed) <= GAP_TOL
+    return _gap(j, p, q, GAP_TOL, seed)[0] <= GAP_TOL
 
 
 def q_star(j: JointDistribution, p: float, tol: float = QSTAR_TOL, seed: int = 0) -> float:
@@ -177,9 +199,11 @@ def q_star(j: JointDistribution, p: float, tol: float = QSTAR_TOL, seed: int = 0
     always lies in the ribbon (conditional Jensen) and the q = 1 end is
     probed once: when (p, 1 + tol) already holds, the result is exactly 1.
     """
-    p = float(p)
-    if p < 1.0:
-        raise ValidationError(f"p must be >= 1, got {p!r}")
+    p, tol = float(p), float(tol)
+    if not 1.0 <= p < math.inf:
+        raise ValidationError(f"p must be finite and >= 1, got {p!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
     if p - 1.0 < 1e-12 or p - 1.0 <= tol:
         return 1.0
     if in_ribbon(j, p, 1.0 + tol, seed):

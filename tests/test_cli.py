@@ -263,6 +263,11 @@ class TestRibbon:
         code, out, err = run(capsys, "ribbon", "fig2", "--pmax", "200")
         assert code == 2
 
+    @pytest.mark.parametrize("pmax", ["nan", "inf"])
+    def test_non_finite_pmax_exits_2(self, capsys, pmax):
+        code, out, err = run(capsys, "ribbon", "fig2", "--pmax", pmax)
+        assert code == 2
+
     def test_steps_validation_exits_2(self, capsys):
         code, out, err = run(capsys, "ribbon", "fig2", "--steps", "1")
         assert code == 2

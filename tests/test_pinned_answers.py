@@ -12,7 +12,9 @@ are exact.  The ``lambda_dagger`` constants were re-recorded when its
 bisection to a 1e-5 bracket, with a 1e-8 bit touch tolerance, gave way to
 Dinkelbach's iteration, which returns the exact grid threshold (or rho^2
 when that is larger) with no tolerance.  A change that is meant to alter
-these answers must record new constants and say why.  They are float64
+these answers must record new constants and say why.  The ribbon constants
+were recorded before the contraction-gap sweep was rewritten to make fewer
+numpy calls with the same floating-point operations.  They are float64
 results of numpy 2.4 on an x86-64 CPU with AVX-512; another math library
 may round them differently.
 """
@@ -20,9 +22,21 @@ may round them differently.
 import numpy as np
 import pytest
 
-from infodep import builtin, channel_of, joint_from_matrix, lambda_dagger, product, sstar
+from infodep import (
+    builtin,
+    channel_of,
+    contraction_gap,
+    joint_from_matrix,
+    lambda_dagger,
+    product,
+    q_star,
+    sstar,
+)
 
 J4_TABLE = np.random.default_rng(4).dirichlet(np.ones(16)).reshape(4, 4)
+S3_TABLE = np.random.default_rng(29).dirichlet(np.ones(9)).reshape(3, 3)
+#: |Y| = 9 > 8, so the gap draws GAP_RESTARTS Dirichlet seeds instead of 288
+Y9_TABLE = np.random.default_rng(9).dirichlet(np.ones(18)).reshape(2, 9)
 
 #: value, maximizer, ascent_sweeps and converged of ``sstar`` with its defaults
 SSTAR_PINNED = {
@@ -81,9 +95,49 @@ LAMBDA_DAGGER_PINNED = {
     "bec:0.25": "0x1.8000000000006p-1",
 }
 
+#: ``q_star(j, p)`` (q is None) and ``contraction_gap(j, p, q)``, with their
+#: defaults; q = 1 is the exact extreme-point branch.  Where p and q - 1 are
+#: powers of two, or the gap peaks in the first sweep, rounding changes in the
+#: update rarely reach the value; (3x3, 1.5, 1.35), (fig2, 128, 64.5) and
+#: (2x9, 4, 2.5) move when the update divides by p or q - 1 in another way
+RIBBON_PINNED = {
+    ("fig2", 1.5, None): "0x1.4d4c000000000p+0",
+    ("fig2", 4.0, None): "0x1.66ca000000000p+1",
+    ("fig2", 32.0, None): "0x1.44a1500000000p+4",
+    ("remark3", 1.5, None): "0x1.03a8000000000p+0",
+    ("remark3", 4.0, None): "0x1.14b2000000000p+0",
+    ("remark3", 32.0, None): "0x1.26de000000000p+1",
+    ("seeded 3x3", 1.5, None): "0x1.5b00000000000p+0",
+    ("seeded 3x3", 4.0, None): "0x1.8f14000000000p+1",
+    ("seeded 3x3", 32.0, None): "0x1.7084e00000000p+4",
+    ("seeded 2x9", 1.5, None): "0x1.4490000000000p+0",
+    ("seeded 2x9", 4.0, None): "0x1.496f000000000p+1",
+    ("fig2", 2.0, 1.5): "0x1.0fe5ef6f6fe4dp-6",
+    ("fig2", 4.0, 1.0): "0x1.5d13f32b5a75cp-1",
+    ("fig2", 128.0, 64.0): "0x1.77c8c86136dfap-10",
+    ("fig2", 128.0, 64.5): "0x1.69d5315a3dc2bp-10",
+    ("remark3", 4.0, 1.0): "0x1.70c22b6de3216p-5",
+    ("remark3", 128.0, 100.0): "0x1.0100000000000p-53",
+    ("seeded 3x3", 1.5, 1.35): "0x1.8815731c30282p-11",
+    ("seeded 3x3", 4.0, 2.0): "0x1.bb2709d2aa9cfp-4",
+    ("seeded 3x3", 128.0, 120.0): "0x1.8c00000000001p-53",
+    ("seeded 2x9", 4.0, 2.0): "0x1.fed48b52d1d3bp-5",
+    ("seeded 2x9", 4.0, 2.5): "0x1.dec159e6ebc48p-10",
+    ("seeded 2x9", 128.0, 90.0): "0x1.5800000000000p-53",
+}
+
+
+def _table_joint(table: np.ndarray):
+    nx, ny = table.shape
+    return joint_from_matrix(table, tuple(range(nx)), tuple(range(ny)))
+
 
 def _joint(name: str):
-    j4 = joint_from_matrix(J4_TABLE, tuple(range(4)), tuple(range(4)))
+    j4 = _table_joint(J4_TABLE)
+    if name == "seeded 3x3":
+        return _table_joint(S3_TABLE)
+    if name == "seeded 2x9":
+        return _table_joint(Y9_TABLE)
     if name == "j4":
         return j4
     if name == "remark3 x j4":
@@ -106,3 +160,10 @@ def test_lambda_dagger_is_pinned(name):
     assert lambda_dagger(channel_of(builtin(name))) == float.fromhex(
         LAMBDA_DAGGER_PINNED[name]
     )
+
+
+@pytest.mark.parametrize("name, p, q", list(RIBBON_PINNED))
+def test_ribbon_answers_are_pinned(name, p, q):
+    j = _joint(name)
+    got = q_star(j, p) if q is None else contraction_gap(j, p, q)
+    assert got == float.fromhex(RIBBON_PINNED[name, p, q])

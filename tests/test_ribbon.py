@@ -22,7 +22,14 @@ from infodep import (
     sstar,
     transpose,
 )
-from infodep.ribbon import GAP_TOL, QSTAR_MAX_BISECT, QSTAR_TOL, _logsumexp
+from infodep.ribbon import (
+    GAP_MAX_ITER,
+    GAP_TOL,
+    QSTAR_MAX_BISECT,
+    QSTAR_TOL,
+    _gap,
+    _logsumexp,
+)
 from conftest import random_joint
 
 
@@ -58,6 +65,15 @@ class TestContractionGap:
         with pytest.raises(ValidationError):
             contraction_gap(fig2, 0.5, 0.5)
 
+    @pytest.mark.parametrize(
+        "p, q", [(math.nan, 1.5), (2.0, math.nan), (math.inf, 2.0), (math.inf, math.inf)]
+    )
+    def test_non_finite_orders_rejected(self, fig2, p, q):
+        with pytest.raises(ValidationError):
+            contraction_gap(fig2, p, q)
+        with pytest.raises(ValidationError):
+            in_ribbon(fig2, p, q)
+
 
 def _fsum_logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     """Reference log-sum-exp: one exactly rounded math.fsum per slice."""
@@ -72,7 +88,32 @@ def _fsum_logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+#: +inf, nan, +inf with nan, all -inf and finite slices along either axis
+NON_FINITE = np.array(
+    [
+        [0.5, np.inf, -1.0, -np.inf, 3.0, 0.0],
+        [-2.0, 1.0, np.nan, -np.inf, 0.0, 1.5],
+        [-np.inf, -np.inf, -np.inf, -np.inf, -np.inf, -np.inf],
+        [1.0, -0.5, 2.0, -np.inf, -4.0, -2.5],
+        [np.inf, -1.0, np.nan, -np.inf, np.inf, 0.75],
+    ]
+)
+#: the log-sum-exp of NON_FINITE along axis 0 and 1, as the helper gave when it
+#: still replaced every non-finite slice maximum by a zero shift
+NON_FINITE_LSE = (
+    ("inf", "inf", "nan", "-inf", "inf", "0x1.04f4c9b5202a3p+1"),
+    ("inf", "nan", "-inf", "0x1.30c03ba801d31p+1", "nan"),
+)
+
+
 class TestLogSumExp:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_slices(self, axis):
+        # any floating-point warning fails the test (see pyproject.toml)
+        got = _logsumexp(NON_FINITE, axis=axis)
+        want = np.array([float.fromhex(x) for x in NON_FINITE_LSE[axis]])
+        assert np.array_equal(got, want, equal_nan=True)
+
     @pytest.mark.parametrize("axis", [0, 1])
     def test_matches_fsum_reference(self, axis):
         rng = np.random.default_rng(17)
@@ -135,6 +176,27 @@ class TestEarlyExit:
         assert q_star(j, p) == self._reference_q_star(j, p)
 
 
+class TestSweepCount:
+    """_gap also returns the sweeps it ran, so a probe that ends at the
+    GAP_MAX_ITER cap without converging shows.  The counts were recorded
+    before the sweep kernel was rewritten for speed: it must run the same
+    sweeps."""
+
+    @pytest.mark.parametrize(
+        "q, sweeps",
+        [(1.25, 1), (1.375, 122), (1.3125, GAP_MAX_ITER)],
+        ids=["crosses in its first sweep", "converges", "ends at the cap"],
+    )
+    def test_in_ribbon_probe(self, fig2, q, sweeps):
+        gap, ran = _gap(fig2, 1.5, q, GAP_TOL, 0)
+        assert ran == sweeps
+        assert (gap > GAP_TOL) == (q == 1.25)
+
+    def test_exact_cases_run_no_sweep(self, fig2):
+        assert _gap(fig2, 1.0, 1.0, GAP_TOL, 0) == (0.0, 0)
+        assert _gap(fig2, 2.0, 1.0, np.inf, 0)[1] == 0
+
+
 class TestInRibbon:
     def test_independent_everywhere(self, independent):
         assert in_ribbon(independent, 2.0, 1.2)
@@ -168,6 +230,21 @@ class TestQStar:
     def test_p_below_one_rejected(self, fig2):
         with pytest.raises(ValidationError):
             q_star(fig2, 0.9)
+
+    @pytest.mark.parametrize(
+        "p, tol",
+        [
+            (math.nan, QSTAR_TOL),
+            (math.inf, QSTAR_TOL),
+            (2.0, math.nan),
+            (2.0, math.inf),
+            (2.0, -1.0),
+            (2.0, 0.0),
+        ],
+    )
+    def test_non_finite_or_invalid_arguments_rejected(self, fig2, p, tol):
+        with pytest.raises(ValidationError):
+            q_star(fig2, p, tol)
 
     def test_identity_boundary_is_diagonal(self, identity_coupling):
         assert q_star(identity_coupling, 2.0) == pytest.approx(2.0, abs=1e-3)
