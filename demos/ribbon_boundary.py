@@ -9,7 +9,7 @@ smallest admissible q, and the chordal slope (q*(p) - 1)/(p - 1) carries the
 dependence information: it rises toward s*(X;Y) as p grows and approaches
 s*(Y;X) as p drops to 1.  Maximal correlation lower-bounds every slope.
 
-Runtime: about 3 s on a 2-vCPU x86-64 VM; each boundary point is a
+Runtime: about 2 s on a 2-vCPU x86-64 VM; each boundary point is a
 bisection over contraction tests, and nearly all of that time goes to their
 fixed-point sweeps.
 """

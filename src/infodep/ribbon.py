@@ -20,12 +20,24 @@ iteration is a fixed point of the first-order stationarity map
 
 run entirely in log space so p as large as 128 cannot overflow.
 
+Near q* that map contracts at 0.96-1.0 per sweep, so each seed column of
+log g is accelerated by a two-term Anderson mix (Walker & Ni 2011): with T
+the normalized map and f = T(x) - x, the next iterate is T(x_k) minus the
+combination of the last two differences of T(x) whose matching
+combination of the differences of f best cancels f_k.  The mixed column is
+renormalized to ||g||_q = 1, and a column takes the plain step T(x_k) where
+the 2x2 least-squares problem is near singular or the mixed column is not
+finite.  Every iterate is therefore still a feasible g, and the gap is
+evaluated at every iterate, so the estimate stays a witness-backed lower
+bound; the mix changes only which g are tried, and it needs 3-4x fewer
+sweeps than the plain iteration over a q* bisection.
+
 :func:`in_ribbon` (and with it the q_star bisection) needs only whether the
 gap exceeds its tolerance.  The gap is a running maximum over sweeps, so a
 probe stops at the first sweep whose gap is above the tolerance: the
 remaining sweeps could only raise it, and the answer is exactly the one the
 full :func:`contraction_gap` run gives.  Probes outside the ribbon usually
-cross in one or two sweeps instead of running all ``GAP_MAX_ITER``.
+cross in one or two sweeps.
 
 A sweep's arrays hold about |X|·|Y|·290 entries, so numpy's overhead per
 call sets its cost: reductions call ``ufunc.reduce`` directly, not through
@@ -69,6 +81,10 @@ QSTAR_TOL = 1e-4
 QSTAR_MAX_BISECT = 60
 #: the clamp on a non-finite slice maximum in the log-sum-exp shift
 _FMAX = np.finfo(float).max
+#: the Anderson mix is used only where the 2x2 determinant exceeds this share
+#: of a00 * a11, the squared sine of the angle between the two residual
+#: differences; the determinant's own rounding is a few ulps of a00 * a11
+_MIX_MIN_DET = 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,6 +162,7 @@ def _gap(
         return lg - _logsumexp(logpy2 + q * lg, axis=0) / q
 
     best_log = -np.inf
+    hist: list[tuple[np.ndarray, np.ndarray]] = []  # (T(x), f) of the last sweeps
     with np.errstate(all="ignore"):
         logG = normalize(logG)
         for sweeps in range(1, GAP_MAX_ITER + 1):
@@ -156,11 +173,38 @@ def _gap(
                 break
             logm = _logsumexp(logB3 + pm1 * log_tg[:, None, :], axis=0)
             new = normalize(logm / qm1)
-            delta = new - logG
-            logG = new
-            if np.fmax.reduce(np.abs(delta, out=delta), None) < GAP_CONV_TOL:
+            f = new - logG
+            if np.fmax.reduce(np.abs(f), None) < GAP_CONV_TOL:
                 break
+            hist = hist[-2:] + [(new, f)]
+            logG = _anderson_step(hist, normalize) if len(hist) == 3 else new
     return float(max(np.expm1(best_log), 0.0)), sweeps
+
+
+def _anderson_step(hist, normalize) -> np.ndarray:
+    """The two-term Anderson mix of each column of log g (Walker & Ni 2011).
+
+    ``hist`` holds (T(x_i), f_i = T(x_i) - x_i) for i = k-2, k-1, k.  With
+    dT_i and df_i the last two differences of T(x) and of f, the next
+    iterate is T(x_k) - g0 dT0 - g1 dT1, where (g0, g1) minimizes
+    |f_k - g0 df0 - g1 df1| through the 2x2 normal equations, renormalized
+    to ||g||_q = 1.  A column keeps the plain step T(x_k) where the
+    determinant is not above ``_MIX_MIN_DET`` * a00 * a11 (so no 0/0 is
+    ever formed) or the mixed column is not finite.
+    """
+    (t0, f0), (t1, f1), (t2, f2) = hist
+    d = np.array((f1 - f0, f2 - f1, f2))
+    (a00, a01, b0), (_, a11, b1) = np.einsum("iyc,jyc->ijc", d[:2], d)
+    det = a00 * a11 - a01 * a01
+    ok = det > _MIX_MIN_DET * (a00 * a11)
+    if not ok.any():
+        return t2
+    det[~ok] = np.inf
+    g0 = (a11 * b0 - a01 * b1) / det
+    g1 = (a00 * b1 - a01 * b0) / det
+    mixed = normalize(t2 - g0 * (t1 - t0) - g1 * (t2 - t1))
+    ok &= np.logical_and.reduce(np.isfinite(mixed), 0)
+    return np.where(ok, mixed, t2)
 
 
 def contraction_gap(j: JointDistribution, p: float, q: float, seed: int = 0) -> float:
@@ -170,9 +214,13 @@ def contraction_gap(j: JointDistribution, p: float, q: float, seed: int = 0) -> 
     constant function is always a seed, so the estimate is never negative;
     it is a lower bound on the true supremum (see module docstring).  The
     Dirichlet seeds, 288 of them when |Y| <= 8 and ``GAP_RESTARTS`` = 32
-    otherwise, are drawn from a generator seeded with ``seed``.  The sweeps
-    stop once log g moves by less than ``GAP_CONV_TOL`` or after
-    ``GAP_MAX_ITER`` of them, whichever comes first.
+    otherwise, are drawn from a generator seeded with ``seed``.  Each sweep
+    applies the fixed-point map to every seed column and then a two-term
+    Anderson mix of the column's last iterates, renormalized to
+    ||g||_q = 1; the gap is the largest seen at any iterate, and since every
+    iterate is a feasible g it stays a lower bound.  The sweeps stop once the
+    map moves log g by less than ``GAP_CONV_TOL`` or after ``GAP_MAX_ITER``
+    of them, whichever comes first.
 
     Special cases solved exactly: p = 1 gives 0 (both norms are E[g]); q = 1
     makes the feasible set { g >= 0, E[g] = 1 } with a convex objective, so

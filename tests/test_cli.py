@@ -234,6 +234,15 @@ class TestRibbon:
             p, q, s = (float(v) for v in line.split(","))
             assert 1.0 <= q <= p
 
+    def test_slopes_not_below_rho_squared(self, capsys):
+        code, out, err = run(capsys, "ribbon", "fig2", "--steps", "4", "--pmax", "8")
+        assert code == 0
+        lines = out.splitlines()
+        rho2 = float(next(l for l in lines if l.startswith("# rho_squared,")).split(",")[1])
+        slopes = [float(l.split(",")[2]) for l in lines[1:] if not l.startswith("#")]
+        assert len(slopes) == 4
+        assert min(slopes) >= rho2, slopes
+
     def test_independent_boundary_collapses(self, capsys):
         code, out, err = run(
             capsys, "ribbon", "independent", "--pmax", "4", "--steps", "2"

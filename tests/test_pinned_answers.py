@@ -14,7 +14,12 @@ Dinkelbach's iteration, which returns the exact grid threshold (or rho^2
 when that is larger) with no tolerance.  A change that is meant to alter
 these answers must record new constants and say why.  The ribbon constants
 were recorded before the contraction-gap sweep was rewritten to make fewer
-numpy calls with the same floating-point operations.  They are float64
+numpy calls with the same floating-point operations.  The eight
+``contraction_gap`` values that moved were re-recorded when a two-term
+Anderson mix replaced the plain fixed-point update: the mixed sweeps reach
+the same fixed points by another path, so the gaps above 1e-12 moved by at
+most 1.7e-13 relative and the three near 1e-16 (rounding noise around a
+zero gap) by at most 4.8e-17; the 11 q* did not move.  They are float64
 results of numpy 2.4 on an x86-64 CPU with AVX-512; another math library
 may round them differently.
 """
@@ -112,18 +117,18 @@ RIBBON_PINNED = {
     ("seeded 3x3", 32.0, None): "0x1.7084e00000000p+4",
     ("seeded 2x9", 1.5, None): "0x1.4490000000000p+0",
     ("seeded 2x9", 4.0, None): "0x1.496f000000000p+1",
-    ("fig2", 2.0, 1.5): "0x1.0fe5ef6f6fe4dp-6",
+    ("fig2", 2.0, 1.5): "0x1.0fe5ef6f6fe2cp-6",
     ("fig2", 4.0, 1.0): "0x1.5d13f32b5a75cp-1",
     ("fig2", 128.0, 64.0): "0x1.77c8c86136dfap-10",
     ("fig2", 128.0, 64.5): "0x1.69d5315a3dc2bp-10",
     ("remark3", 4.0, 1.0): "0x1.70c22b6de3216p-5",
-    ("remark3", 128.0, 100.0): "0x1.0100000000000p-53",
-    ("seeded 3x3", 1.5, 1.35): "0x1.8815731c30282p-11",
-    ("seeded 3x3", 4.0, 2.0): "0x1.bb2709d2aa9cfp-4",
-    ("seeded 3x3", 128.0, 120.0): "0x1.8c00000000001p-53",
-    ("seeded 2x9", 4.0, 2.0): "0x1.fed48b52d1d3bp-5",
-    ("seeded 2x9", 4.0, 2.5): "0x1.dec159e6ebc48p-10",
-    ("seeded 2x9", 128.0, 90.0): "0x1.5800000000000p-53",
+    ("remark3", 128.0, 100.0): "0x1.2300000000000p-54",
+    ("seeded 3x3", 1.5, 1.35): "0x1.8815731c2fdd6p-11",
+    ("seeded 3x3", 4.0, 2.0): "0x1.bb2709d2aa9ccp-4",
+    ("seeded 3x3", 128.0, 120.0): "0x1.8000000000001p-53",
+    ("seeded 2x9", 4.0, 2.0): "0x1.fed48b52d1d35p-5",
+    ("seeded 2x9", 4.0, 2.5): "0x1.dec159e6ebaa7p-10",
+    ("seeded 2x9", 128.0, 90.0): "0x1.3400000000000p-53",
 }
 
 

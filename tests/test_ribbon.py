@@ -1,9 +1,12 @@
 """Unit tests for the hypercontractivity ribbon boundary and its slopes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infodep import (
     BadOrder,
@@ -16,6 +19,7 @@ from infodep import (
     contraction_gap,
     in_ribbon,
     joint_from_matrix,
+    maximal_correlation,
     q_star,
     q_star_curve,
     slope_at_one,
@@ -23,14 +27,17 @@ from infodep import (
     transpose,
 )
 from infodep.ribbon import (
+    GAP_CONV_TOL,
     GAP_MAX_ITER,
+    GAP_RESTARTS,
     GAP_TOL,
     QSTAR_MAX_BISECT,
     QSTAR_TOL,
+    _anderson_step,
     _gap,
     _logsumexp,
 )
-from conftest import random_joint
+from conftest import random_independent, random_joint
 
 
 class TestContractionGap:
@@ -133,11 +140,14 @@ class TestLogSumExp:
 def _ribbon_cases():
     rng = np.random.default_rng(29)
     seeded = rng.dirichlet(np.ones(9)).reshape(3, 3)
+    # |Y| = 9 > 8, so the gap draws GAP_RESTARTS Dirichlet seeds instead of 288
+    wide = np.random.default_rng(9).dirichlet(np.ones(18)).reshape(2, 9)
     return {
         "fig2": builtin("fig2"),
         "remark3": builtin("remark3"),
         "identity": joint_from_matrix([[0.5, 0.0], [0.0, 0.5]], (0, 1), (0, 1)),
         "seeded 3x3": joint_from_matrix(seeded, (0, 1, 2), (0, 1, 2)),
+        "seeded 2x9": joint_from_matrix(wide, (0, 1), tuple(range(9))),
     }
 
 
@@ -179,13 +189,15 @@ class TestEarlyExit:
 class TestSweepCount:
     """_gap also returns the sweeps it ran, so a probe that ends at the
     GAP_MAX_ITER cap without converging shows.  The counts were recorded
-    before the sweep kernel was rewritten for speed: it must run the same
-    sweeps."""
+    when the Anderson mix replaced the plain sweep update, which ran 1, 122
+    and 300 sweeps at q = 1.25, 1.375 and 1.3125 (the last now converges
+    after 21); q = 1.302734375, 7.9e-4 above q*(1.5), still ends at the
+    cap."""
 
     @pytest.mark.parametrize(
         "q, sweeps",
-        [(1.25, 1), (1.375, 122), (1.3125, GAP_MAX_ITER)],
-        ids=["crosses in its first sweep", "converges", "ends at the cap"],
+        [(1.25, 1), (1.375, 13), (1.3125, 21), (1.302734375, GAP_MAX_ITER)],
+        ids=["crosses in its first sweep", "converges", "converges near q*", "ends at the cap"],
     )
     def test_in_ribbon_probe(self, fig2, q, sweeps):
         gap, ran = _gap(fig2, 1.5, q, GAP_TOL, 0)
@@ -195,6 +207,118 @@ class TestSweepCount:
     def test_exact_cases_run_no_sweep(self, fig2):
         assert _gap(fig2, 1.0, 1.0, GAP_TOL, 0) == (0.0, 0)
         assert _gap(fig2, 2.0, 1.0, np.inf, 0)[1] == 0
+
+
+def _plain_gap(j, p: float, q: float) -> tuple[float, int]:
+    """The reference route: the contraction-gap sweeps with the plain
+    fixed-point update and no mixing, run to convergence or the cap, with
+    the seeds, tolerances and seed draws of ``contraction_gap`` (seed 0).
+    It returns the gap and the sweeps run; 1 < q <= p only."""
+    ny = j.shape[1]
+    with np.errstate(divide="ignore"):
+        logW = np.log(j.pxy / j.px[:, None])[:, :, None]
+        logB = np.log(j.pxy / j.py[None, :])[:, :, None]
+    logpx, logpy = np.log(j.px)[:, None], np.log(j.py)[:, None]
+    cols = [np.full((ny, ny), -np.inf), np.zeros((ny, 1))]
+    np.fill_diagonal(cols[0], 0.0)
+    n_seeds = 288 if ny <= 8 else GAP_RESTARTS
+    cols.append(np.log(np.random.default_rng(0).dirichlet(np.ones(ny), size=n_seeds).T))
+
+    def normalize(lg):
+        return lg - _logsumexp(logpy + q * lg, axis=0) / q
+
+    best = -np.inf
+    with np.errstate(all="ignore"):
+        logG = normalize(np.concatenate(cols, axis=1))
+        for sweeps in range(1, GAP_MAX_ITER + 1):
+            log_tg = _logsumexp(logW + logG, axis=1)
+            best = max(best, np.max(_logsumexp(logpx + p * log_tg, axis=0) / p))
+            logm = _logsumexp(logB + (p - 1.0) * log_tg[:, None, :], axis=0)
+            new = normalize(logm / (q - 1.0))
+            moved = np.fmax.reduce(np.abs(new - logG), None)
+            logG = new
+            if moved < GAP_CONV_TOL:
+                break
+    return max(float(np.expm1(best)), 0.0), sweeps
+
+
+class TestPlainSweepCrossCheck:
+    """The Anderson-mixed sweeps against the plain sweeps they replaced, on
+    a q grid and on the probes just inside q*(p), where the gap is smallest.
+
+    Every iterate of the mix is a feasible g, so a witness the plain sweep
+    finds must not be lost.  Where the plain sweep converged, both routes
+    reach the same fixed points and the gaps agree to 1e-10 relative.  Where
+    it ends at the GAP_MAX_ITER cap its gap is still rising, and the mix,
+    which converges there, may find a larger one, but not a smaller one
+    beyond rounding: the gap is a norm near 1 minus 1, so its resolution is
+    one ulp of 1."""
+
+    @pytest.mark.parametrize("name", list(_ribbon_cases()))
+    def test_mix_keeps_every_plain_witness(self, name):
+        j = _ribbon_cases()[name]
+        for p in (1.5, 4.0, 32.0, 128.0):
+            near = q_star(j, p) - 10.0 ** -np.arange(3.0, 8.0)
+            for q in np.concatenate([np.linspace(1.0, p, 7)[1:], near[near > 1.0]]):
+                ref, ran = _plain_gap(j, p, q)
+                gap = contraction_gap(j, p, q)
+                if ref > GAP_TOL:
+                    assert not in_ribbon(j, p, q), (p, q, ref)
+                if ran < GAP_MAX_ITER and max(gap, ref) > 1e-12:
+                    assert abs(gap - ref) <= 1e-10 * max(gap, ref), (p, q, gap, ref)
+                assert gap >= ref * (1.0 - 1e-10) - np.finfo(float).eps, (p, q, gap, ref)
+
+    def test_reference_runs_the_plain_sweep_counts(self, fig2):
+        # the counts TestSweepCount's docstring gives for the plain update
+        assert _plain_gap(fig2, 1.5, 1.375)[1] == 122
+        assert _plain_gap(fig2, 1.5, 1.3125)[1] == GAP_MAX_ITER
+
+
+class TestMixGuard:
+    """Columns whose residual differences are zero, parallel or not finite
+    take the plain step; no floating-point warning escapes the sweeps."""
+
+    @staticmethod
+    def _history():
+        rng = np.random.default_rng(5)
+        t0, t1, t2, f0, f1, f2 = (rng.normal(size=(3, 4)) for _ in range(6))
+        f1[:, 0] = f0[:, 0]  # a zero difference
+        f2[:, 1] = 3.0 * f1[:, 1] - 2.0 * f0[:, 1]  # parallel differences
+        return [(t0, f0), (t1, f1), (t2, f2)]
+
+    @staticmethod
+    def _normalize(lg):
+        return lg - _logsumexp(lg, axis=0)
+
+    def test_singular_columns_take_the_plain_step(self):
+        hist = self._history()
+        t2 = hist[2][0]
+        with np.errstate(all="raise"):  # a 0/0 or an overflow would raise
+            out = _anderson_step(hist, self._normalize)
+        assert np.array_equal(out[:, :2], t2[:, :2])
+        assert np.all(np.isfinite(out[:, 2:]))
+        assert not np.array_equal(out[:, 2:], t2[:, 2:])
+
+    def test_columns_with_zero_entries_take_the_plain_step(self):
+        hist = self._history()
+        t1, t2 = hist[1][0], hist[2][0]
+        t1[0, 3] = t2[0, 3] = -np.inf  # g(y) = 0 on two sweeps
+        with np.errstate(all="ignore"):
+            out = _anderson_step(hist, self._normalize)
+        assert np.array_equal(out[:, [0, 1, 3]], t2[:, [0, 1, 3]])
+        assert np.all(np.isfinite(out[:, 2])) and not np.array_equal(out[:, 2], t2[:, 2])
+
+    @pytest.mark.parametrize("name", ["independent", "identity", "fig2"])
+    def test_finite_without_warnings(self, name, independent, identity_coupling, fig2):
+        j = {"independent": independent, "identity": identity_coupling, "fig2": fig2}[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p, q in ((1.5, 1.2), (2.0, 1.5), (4.0, 2.5), (32.0, 20.0), (128.0, 127.0)):
+                for stop in (GAP_TOL, np.inf):
+                    gap, ran = _gap(j, p, q, stop, 0)
+                    assert math.isfinite(gap) and 1 <= ran <= GAP_MAX_ITER
+            assert _gap(j, 1.0, 1.0, np.inf, 0) == (0.0, 0)
+            assert _gap(j, 4.0, 1.0, np.inf, 0)[1] == 0
 
 
 class TestInRibbon:
@@ -261,6 +385,38 @@ class TestQStar:
             assert 1.0 <= q <= p
 
 
+#: a seeded 2x2 to 3x3 Dirichlet joint and an order p in [1.2, 32]
+_JOINT_AND_ORDER = dict(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(2, 3),
+    ny=st.integers(2, 3),
+    p=st.floats(1.2, 32.0),
+)
+
+
+class TestQStarProperties:
+    """q*(p) between the rho^2 slope floor and the diagonal, derandomized so
+    that tier-1 draws the same examples on every run.
+
+    The floor binds the true q*; the estimate is a lower one, and where
+    s*(X;Y) is close to rho^2 the gap just below q* stays under GAP_TOL, so
+    the estimate can fall under the floor by more than QSTAR_TOL (1 of 200
+    random draws: seed 2057433282, 3x2, p = 25.18, 1.8e-4 under).  These
+    examples do not reach such a joint."""
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(**_JOINT_AND_ORDER)
+    def test_between_slope_floor_and_diagonal(self, seed, nx, ny, p):
+        j = random_joint(np.random.default_rng(seed), nx, ny)
+        rho2 = maximal_correlation(j).rho ** 2
+        assert 1.0 + rho2 * (p - 1.0) - QSTAR_TOL <= q_star(j, p) <= p
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(**_JOINT_AND_ORDER)
+    def test_independent_collapses(self, seed, nx, ny, p):
+        assert q_star(random_independent(np.random.default_rng(seed), nx, ny), p) == 1.0
+
+
 class TestQStarCurve:
     def test_monotone_normalized_boundary(self, fig2):
         ps = (1.5, 2.0, 4.0)
@@ -286,6 +442,13 @@ class TestSlopes:
     def test_chordal_slope_definition(self, fig2):
         q = q_star(fig2, 2.0)
         assert chordal_slope(fig2, 2.0) == pytest.approx(q - 1.0, abs=1e-12)
+
+    def test_slope_never_below_rho_squared(self, fig2):
+        # the second row of `infodep ribbon fig2 --steps 4 --pmax 8`: the
+        # plain sweeps ended a probe below q* at the cap before its gap
+        # passed GAP_TOL, and the slope read 0.599975586 < rho^2 = 0.6
+        p = 1.5 * (8.0 / 1.5) ** (1.0 / 3.0)
+        assert chordal_slope(fig2, p) >= maximal_correlation(fig2).rho ** 2
 
     def test_chordal_slope_rejects_p_one(self, fig2):
         with pytest.raises(PEqualsOne):
