@@ -6,8 +6,8 @@ A pair (p, q) with 1 <= q <= p belongs to the hypercontractivity ribbon of
 (X, Y) when every function g of Y satisfies ||E[g|X]||_p <= ||g||_q under
 the joint's marginals.  For each p the boundary exponent q*(p) is the
 smallest admissible q, and the chordal slope (q*(p) - 1)/(p - 1) carries the
-dependence information: it rises toward s*(X;Y) as p grows and approaches
-s*(Y;X) as p drops to 1.  Maximal correlation lower-bounds every slope.
+dependence information: it tends to s*(X;Y) as p grows and to s*(Y;X) as
+p drops to 1.  Maximal correlation lower-bounds every slope.
 
 Runtime: about 2 s on a 2-vCPU x86-64 VM; each boundary point is a
 bisection over contraction tests, and nearly all of that time goes to their

@@ -10,8 +10,9 @@ The package computes, for a joint law p(x,y) on small finite alphabets:
   tight constant in I(U;Y) <= s* I(U;X) over Markov chains U - X - Y
   (:mod:`infodep.sstar`);
 * the **hypercontractivity ribbon boundary** q*(p) — the smallest q with
-  ||E[g(Y)|X]||_p <= ||g(Y)||_q for all g — whose chordal slopes interpolate
-  between s*(Y;X) and s*(X;Y) and never drop below rho^2
+  ||E[g(Y)|X]||_p <= ||g(Y)||_q for all g — whose chordal slopes tend to
+  s*(Y;X) as p -> 1 and to s*(X;Y) as p -> infinity, and never drop below
+  rho^2
   (:mod:`infodep.ribbon`);
 * the curve **t_lambda(r) = H(Y_r) - lambda H(r)** over channel inputs, whose
   Hessian threshold at p(x) is rho^2 and whose convex-envelope touch

@@ -4,10 +4,10 @@ For exponents 1 <= q <= p, the pair (p, q) lies in the ribbon of a joint
 distribution when ``||E[g(Y)|X]||_p <= ||g(Y)||_q`` holds for every
 nonnegative g (restriction to g >= 0 loses nothing since
 |E[g|X]| <= E[|g| | X]).  The boundary q*(p) is the smallest such q.  Its
-chordal slope (q*(p) - 1)/(p - 1) increases from s*(Y;X) as p -> 1 up to
+chordal slope (q*(p) - 1)/(p - 1) tends to s*(Y;X) as p -> 1 and to
 s*(X;Y) as p -> infinity, and is never below the squared maximal
 correlation — the facts the acceptance suite checks against the other
-modules.
+modules.  Between the two limits it need not be monotone.
 
 The inner supremum over g is nonconvex, so :func:`contraction_gap` is a
 seeded multistart estimator and a *lower* bound on the true sup: q_star is
@@ -287,7 +287,7 @@ def q_star_curve(
 def chordal_slope(
     j: JointDistribution, p: float, tol: float = QSTAR_TOL, seed: int = 0
 ) -> float:
-    """(q*(p) - 1)/(p - 1): rises toward s*(X;Y) as p grows."""
+    """(q*(p) - 1)/(p - 1): at least rho^2, and tends to s*(X;Y) as p grows."""
     p = float(p)
     if p <= 1.0:
         raise PEqualsOne(f"chordal slope needs p > 1, got {p!r}")

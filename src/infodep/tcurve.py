@@ -10,14 +10,15 @@ characterize the dependence measures of this package:
 
 This module evaluates the curve, its Hessian on the simplex tangent space,
 the lower convex envelope over a 1-D grid (binary inputs), and the envelope
-touch threshold ``lambda_dagger``, exact on the grid.  It also scans binary
-input distributions to compare max-over-inputs of rho^2 and of s*, which
-agree.
+touch threshold ``lambda_dagger``, exact on the grid.  The envelope is a
+monotone-chain scan of the whole grid; ``lambda_dagger`` reads only the one
+hull chord over p(x), which it finds by alternating tangents, and the scan
+stays its independent check.  The module also scans binary input
+distributions to compare max-over-inputs of rho^2 and of s*, which agree.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,8 @@ ENVELOPE_GRID_N = 2**12
 TOUCH_TOL = 1e-12
 #: intervals of the P(X=0) grid that scan_inputs sweeps
 SCAN_GRID_N = 128
+#: alternations of _bracket's tangent search before it gives up loudly
+BRACKET_MAX_ALTERNATIONS = 64
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,42 @@ def _lower_hull(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.interp(xs, xs[keep], ys[keep])
 
 
+def _bracket(x: np.ndarray, h: np.ndarray, i: int) -> tuple[int, int] | None:
+    """The lower-hull chord (a, b) with a < i < b over the samples (x, h), or
+    None when sample i is a hull vertex; what :func:`_hull_vertices` gives
+    around i, found in a few O(n) numpy passes instead of a full scan.
+
+    Alternating tangents: from a = i, b becomes the sample right of i with
+    the least slope from a, then a the sample left of i with the greatest
+    slope to b, until the pair repeats.  At that fixed point no sample right
+    of i lies below the line through a and b (b's choice) and none left of i
+    does (a's choice), so the line supports every sample but i: (a, b) is the
+    hull edge over i, unless i lies strictly below the line, which makes i a
+    vertex.  That last test is the monotone-chain scan's own cross product.
+    The scan drops samples that lie on a chord, so among tied slopes b is
+    the farthest sample and a the leftmost (``np.argmax`` keeps the first):
+    the widest chord.  The grid endpoints are always vertices.
+    """
+    n = x.shape[0]
+    if i == 0 or i == n - 1:
+        return None
+    xl, hl, xr, hr = x[:i], h[:i], x[i + 1 :], h[i + 1 :]
+    a, b = i, -1
+    for _ in range(BRACKET_MAX_ALTERNATIONS):
+        nb = n - 1 - int(np.argmin(((hr - h[a]) / (xr - x[a]))[::-1]))
+        na = int(np.argmax((h[nb] - hl) / (x[nb] - xl)))
+        if na == a and nb == b:
+            break
+        a, b = na, nb
+    else:
+        raise NumericalError(
+            f"hull chord over grid point {i} not found in "
+            f"{BRACKET_MAX_ALTERNATIONS} tangent alternations"
+        )
+    cross = (x[i] - x[a]) * (h[b] - h[a]) - (h[i] - h[a]) * (x[b] - x[a])
+    return None if cross > 0.0 else (a, b)
+
+
 def _entropy_grid(c: Channel, grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The uniform grid of P(X=0) with grid_n intervals for a binary-input
     channel, and H(Y_r) and H(r) in nats at its inputs r."""
@@ -219,17 +258,22 @@ def lambda_dagger(c: Channel, grid_n: int = ENVELOPE_GRID_N) -> float:
     max(rho^2, grid threshold), with no tolerance; it equals the strong
     data-processing constant s*(X;Y) of the channel at its reference input
     up to the grid's resolution.
+
+    Each step finds that chord by alternating tangents (:func:`_bracket`)
+    rather than by scanning the whole hull: the line through a pair (a, b)
+    that neither tangent step moves lies on or below every grid point but i,
+    so it is the hull edge over i.  Among tied slopes the search keeps the
+    widest chord, as the scan does, so the answer is the scan's bit for bit.
     """
     p0, hy, hx = _entropy_grid(c, grid_n)
     i = int(np.argmin(np.abs(p0 - c.input.probs[0])))
     j = _reachable_joint(c.input.probs, c.pyx)
     lam = 0.0 if j is None else binary_rho_squared(j)
     while True:
-        keep = _hull_vertices(p0, hy - lam * hx)
-        k = bisect_left(keep, i)
-        if keep[k] == i:
+        chord = _bracket(p0, hy - lam * hx, i)
+        if chord is None:
             return lam
-        a, b = keep[k - 1], keep[k]
+        a, b = chord
         w = (b - i) / (b - a)
         gap_y = hy[i] - (w * hy[a] + (1.0 - w) * hy[b])
         gap_x = hx[i] - (w * hx[a] + (1.0 - w) * hx[b])

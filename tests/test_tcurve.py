@@ -1,6 +1,7 @@
 """Unit tests for the binary-input entropy curve, its convex hull, and scans."""
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from infodep import (
     LambdaOutOfRange,
     LogBase,
     NotBinaryInput,
+    NumericalError,
     PMF,
     ValidationError,
     binary_rho_squared,
@@ -25,7 +27,14 @@ from infodep import (
     touches_envelope,
 )
 from conftest import random_joint
-from infodep.tcurve import _entropy_grid, _lower_hull
+from infodep import tcurve
+from infodep.tcurve import (
+    _bracket,
+    _entropy_grid,
+    _hull_vertices,
+    _lower_hull,
+    _reachable_joint,
+)
 
 FIG2_SSTAR = 0.6315172029168968
 
@@ -341,6 +350,99 @@ class TestLambdaDaggerCrossCheck:
         lam = lambda_dagger(c)
         assert touches_envelope(c, lam)
         assert abs(lam - self._bisect(c, binary_rho_squared(j))) <= 1e-7
+
+
+def _scan_bracket(x, h, i):
+    """The hull chord over sample i, or None at a vertex, read off a full
+    monotone-chain scan."""
+    keep = _hull_vertices(x, h)
+    k = bisect_left(keep, i)
+    return None if keep[k] == i else (keep[k - 1], keep[k])
+
+
+def _scan_lambda_dagger(c):
+    """lambda_dagger's Dinkelbach iteration with a full hull scan per step:
+    the reference route for the tangent search, about 20 ms a call."""
+    p0, hy, hx = _entropy_grid(c, tcurve.ENVELOPE_GRID_N)
+    i = int(np.argmin(np.abs(p0 - c.input.probs[0])))
+    j = _reachable_joint(c.input.probs, c.pyx)
+    lam = 0.0 if j is None else binary_rho_squared(j)
+    while True:
+        chord = _scan_bracket(p0, hy - lam * hx, i)
+        if chord is None:
+            return lam
+        a, b = chord
+        w = (b - i) / (b - a)
+        gap_y = hy[i] - (w * hy[a] + (1.0 - w) * hy[b])
+        gap_x = hx[i] - (w * hx[a] + (1.0 - w) * hx[b])
+        nxt = min(float(gap_y / gap_x), 1.0)
+        if not nxt > lam:
+            return lam
+        lam = nxt
+
+
+def _survey_channels():
+    """Seeded binary channels: flat and alpha = 0.2 Dirichlet rows, some with
+    a zeroed entry, and inputs skewed as far as P(X=0) = 1e-5."""
+    rng = np.random.default_rng(67)
+    out = []
+    for k in range(96):
+        ny = int(rng.integers(2, 6))
+        rows = rng.dirichlet(np.full(ny, 0.2 if k % 2 else 1.0), size=2)
+        if k % 4 == 1:
+            rows[int(rng.integers(0, 2)), int(rng.integers(0, ny))] = 0.0
+            rows /= rows.sum(axis=1, keepdims=True)
+        p0 = 10.0 ** -rng.uniform(1.0, 5.0) if k % 3 == 0 else rng.uniform(0.05, 0.95)
+        out.append(Channel((0, 1), tuple(range(ny)), rows, binary_pmf(p0)))
+    return out
+
+
+def _family_channels():
+    return [channel_of(builtin(f"bec:{k}/40")) for k in range(1, 40)] + [
+        channel_of(builtin(f"bsc:{k}/80")) for k in range(1, 40)
+    ]
+
+
+class TestBracketAgainstScan:
+    """The tangent search against the full hull scan it replaced, bit for
+    bit: the same chord, so the same gap ratios and the same lambda."""
+
+    def test_lambda_dagger_matches_scan_route(self):
+        for c in _survey_channels() + _family_channels():
+            assert lambda_dagger(c) == _scan_lambda_dagger(c)
+
+    def test_bracket_matches_scan(self, fig2):
+        # i = 0 and i = 256 are the grid ends, which are always vertices
+        rng = np.random.default_rng(71)
+        channels = [channel_of(fig2), channel_of(builtin("remark3"))] + _survey_channels()[:8]
+        for c in channels:
+            p0, hy, hx = _entropy_grid(c, 256)
+            for lam in rng.uniform(0.0, 1.0, size=6):
+                h = hy - lam * hx
+                for i in (0, 1, *rng.integers(2, 255, size=4).tolist(), 255, 256):
+                    assert _bracket(p0, h, i) == _scan_bracket(p0, h, i)
+
+    def test_alternation_cap_raises(self, fig2, monkeypatch):
+        monkeypatch.setattr(tcurve, "BRACKET_MAX_ALTERNATIONS", 1)
+        with pytest.raises(NumericalError):
+            lambda_dagger(channel_of(fig2))
+
+
+class TestLambdaDaggerClosedForms:
+    """s* of the erasure channel is 1 - eps and of the binary symmetric
+    channel (1 - 2 eps)^2, both at the uniform input.  On the BEC, t_lambda
+    at rho^2 is flat to rounding near p(x), so short chords amplify that
+    noise and lambda_dagger drifts by up to ~4e-9."""
+
+    @pytest.mark.parametrize("k", range(1, 40))
+    def test_bec(self, k):
+        c = channel_of(builtin(f"bec:{k}/40"))
+        assert abs(lambda_dagger(c) - (1.0 - k / 40)) <= 1e-8
+
+    @pytest.mark.parametrize("k", range(1, 40))
+    def test_bsc(self, k):
+        c = channel_of(builtin(f"bsc:{k}/80"))
+        assert abs(lambda_dagger(c) - (1.0 - 2.0 * k / 80) ** 2) <= 1e-8
 
 
 class TestScanInputs:
