@@ -81,6 +81,21 @@ RAY_START, RAY_POINTS = 6.5e-5, 20
 #: Newton finish: step budget; condition number above which the ratio is
 #: flat along the face; model gain too small for the ratio to judge
 NEWTON_STEPS, NEWTON_MAX_COND, NEWTON_EXACT_GAIN = 8, 1e8, 1e-12
+#: handoff: once every start that improved in a sweep gained at most
+#: HANDOFF_GAIN relative, the ascent is a first-order crawl and Newton
+#: finishes the leader; if that finish does not end the ascent, the next
+#: try comes HANDOFF_RETRY sweeps later
+HANDOFF_GAIN, HANDOFF_RETRY = 1e-5, 8
+#: the kernel rounds each divergence to ~1e-16/|t - 1| relative, t = r/p (see
+#: ``distributions._kl_terms``), so a ratio of two is good to about
+#: TIE_ULPS eps/|t - 1|, with |t - 1| ~ sqrt(2 D(r || p_X)).  The leader is
+#: the start whose value minus that bound is greatest: among values tied
+#: within rounding, the one farthest from p(x) wins.  On the erasure channel,
+#: where the ratio is constant, rounding next to p(x) would otherwise pick a
+#: value above the supremum (bec:1/4 at 0.75 + 8.7e-13).  Next to p(x) on
+#: bsc:1/5 the bound moves a value by ~7e-12 and its difference between
+#: neighbouring starts by ~2e-13, against value gaps of 2.8e-12 and more.
+TIE_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -190,16 +205,20 @@ def _batch_values(
 
 
 def _batch_gradient(
-    R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray
+    R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray, terms=None
 ) -> np.ndarray:
     """Ratio gradients at the input rows R.
 
-    Rows inside the excluded neighborhood of px get a zero gradient.  Log
-    arguments are floored at 1e-300 so boundary rows produce large finite
-    subgradient components instead of nan.
+    ``terms`` are the outputs R @ W and the numerators, denominators and
+    in-domain mask that :func:`_ratio_terms` gave for R, when the caller
+    already has them.  Rows inside the excluded neighborhood of px get a
+    zero gradient.  Log arguments are floored at 1e-300 so boundary rows
+    produce large finite subgradient components instead of nan.
     """
-    RY = R @ W
-    _, num, den, ok = _ratio_terms(R, RY, px, py)
+    if terms is None:
+        RY = R @ W
+        terms = (RY, *_ratio_terms(R, RY, px, py)[1:])
+    RY, num, den, ok = terms
     g_num = (np.log(np.maximum(RY, 1e-300) / py) + 1.0) @ W.T
     g_den = np.log(np.maximum(R, 1e-300) / px) + 1.0
     with np.errstate(invalid="ignore"):
@@ -229,24 +248,42 @@ def _candidate_points(
     return np.vstack(blocks)
 
 
+def _leader(vals: np.ndarray, den: np.ndarray) -> int:
+    """Index of the start whose value minus its rounding bound (``TIE_ULPS``)
+    is greatest."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = TIE_ULPS * np.finfo(float).eps * vals / np.sqrt(2.0 * den)
+    return int(np.argmax(np.where(vals > 0.0, vals - bound, vals)))
+
+
 def _newton_finish(
     r: np.ndarray, value: float, W: np.ndarray, px: np.ndarray, py: np.ndarray
-) -> tuple[np.ndarray, bool]:
+) -> tuple[np.ndarray, float, bool, float]:
     """Where Dinkelbach-Newton steps from r on its face end, each halved until
-    the ratio rises, and whether they ended before NEWTON_STEPS ran out."""
+    the ratio rises; the ratio there; whether they ended stationary, at a
+    step too small for the ratio to judge or on a face where the ratio is
+    flat (a near-singular Newton system), rather than with no rising step or
+    with NEWTON_STEPS spent; and the face KKT residual there, the largest
+    entry of the ratio's gradient projected onto the face."""
     s = r > 0.0
     Ws, pxs = W[s], px[s]
-    for _ in range(NEWTON_STEPS):
+    stationary = False
+    for k in range(NEWTON_STEPS + 1):
         rs = r[s]
         ry = np.maximum(rs @ Ws, 1e-300)  # outputs off the face's reach add 0
+        g = Ws @ np.log(ry / py) - value * np.log(rs / pxs)
+        den = _ratio_at(r, W, px, py)[1]
+        residual = float(np.abs(g - g.mean()).max()) / den
+        if stationary or k == NEWTON_STEPS:
+            break
         # solved for step / rs, which small entries of r cannot ill-condition
         M = rs[:, None] * Ws
         K = np.block([[(M / ry) @ M.T - np.diag(value * rs), rs[:, None]], [rs, 0.0]])
         if rs.size < 2 or np.linalg.cond(K) > NEWTON_MAX_COND:
-            return r, True
-        g = Ws @ np.log(ry / py) - value * np.log(rs / pxs)
+            stationary = True
+            break
         step = rs * np.linalg.solve(K, np.append(-rs * g, 0.0))[:-1]
-        model_gain = 0.5 * float(g @ step) / _ratio_at(r, W, px, py)[1]
+        model_gain = 0.5 * float(g @ step) / den
         for t in 0.5 ** np.arange(40):
             trial = rs + t * step
             if trial.min() > 0.0:
@@ -255,12 +292,11 @@ def _newton_finish(
                 cand_val = _batch_values(cand[None, :], W, px, py)[0]
                 if cand_val > value or 0.0 < model_gain <= NEWTON_EXACT_GAIN:
                     break
-        else:
-            return r, True
+        else:  # no step along the Newton direction raises the ratio
+            break
         r, value = cand, cand_val
-        if 0.0 < model_gain <= NEWTON_EXACT_GAIN:
-            return r, True
-    return r, False
+        stationary = 0.0 < model_gain <= NEWTON_EXACT_GAIN
+    return r, value, stationary, residual
 
 
 def sstar(
@@ -273,16 +309,28 @@ def sstar(
 
     Candidates: the simplex vertices, ``RAY_POINTS`` points each way along
     the witness ray out to the simplex boundary, and ``restarts`` Dirichlet(1)
-    draws seeded with ``seed``.  The best run a multiplicative ascent with a
-    halving step ladder until no start improves by more than ``ASCENT_TOL``
-    relative or ``max_iter`` sweeps pass.  A sweep batches only the active
-    starts, those that improved on the last sweep
-    (``diagnostics["ascent_row_sweeps"]`` sums them): a start's sweep depends
-    only on its own point and value, up to ~1e-16 of BLAS rounding that
-    varies with the batch shape.  Newton steps then finish the best point on
-    its face, and ``diagnostics["converged"]`` is False when the sweep cap
-    ended the ascent or the Newton steps ran out.  The value is exactly the ratio at the
-    reported maximizer.
+    draws seeded with ``seed``.  The best of them run a multiplicative ascent
+    with a halving step ladder.  A sweep batches only the active starts,
+    those that improved on the last sweep (``diagnostics["ascent_row_sweeps"]``
+    sums them): a start's sweep depends only on its own point and value, up
+    to ~1e-16 of BLAS rounding that varies with the batch shape.  The ratio
+    terms a sweep computes for the steps it accepts (outputs, numerators,
+    denominators) give the next sweep's gradients.
+
+    Once every start that improved in a sweep gained at most
+    ``HANDOFF_GAIN`` relative, the ascent has become a first-order crawl and
+    Dinkelbach-Newton steps finish the leader on its face.  If they end
+    stationary at a value no active start exceeds, that point ends the
+    ascent; otherwise the ascent goes on and tries again ``HANDOFF_RETRY``
+    sweeps later.  The ascent also ends when no start improves by more than
+    ``ASCENT_TOL`` relative, or after ``max_iter`` sweeps; Newton steps then
+    finish the leader.  The leader is the best start, or among starts tied
+    with it within the ratio's rounding (``TIE_ULPS``) the one farthest from
+    p(x).  ``diagnostics["converged"]`` is False when the sweep cap ended
+    the ascent or the Newton steps did not end stationary, and
+    ``diagnostics["kkt_residual"]`` is the largest entry of the ratio's
+    gradient projected onto the maximizer's face.  The value is exactly the
+    ratio at the reported maximizer.
     """
     if restarts < 0:
         raise ValidationError(f"restarts must be >= 0, got {restarts!r}")
@@ -295,31 +343,32 @@ def sstar(
             {"restarts": 0, "seed": seed,
              "tol": ASCENT_TOL, "candidates": 0, "ascent_sweeps": 0,
              "best_denominator_nats": 0.0, "converged": True,
-             "ascent_row_sweeps": 0},
+             "ascent_row_sweeps": 0, "kkt_residual": 0.0},
         )
     W = j.pxy / px[:, None]
     py = j.py
     rng = np.random.default_rng(seed)
 
     R = _candidate_points(j, rng, restarts)
-    vals = _batch_values(R, W, px, py)
+    RY = R @ W
+    vals, num, den, ok = _ratio_terms(R, RY, px, py)
     n_candidates = R.shape[0]
 
-    order = np.argsort(-vals)
-    keep = order[: max(restarts + nx + 8, 32)]
-    R = R[keep]
-    best_vals = vals[keep]
+    keep = np.argsort(-vals)[: max(restarts + nx + 8, 32)]
+    R, RY, best_vals, num, den, ok = R[keep], RY[keep], vals[keep], num[keep], den[keep], ok[keep]
 
     alphas = 4.0 * 0.5 ** np.arange(14)
     act = np.arange(R.shape[0])
     sweeps = 0
     row_sweeps = 0
+    next_try = 0
     converged = False
+    finished = None
     for _ in range(max_iter):
         sweeps += 1
         row_sweeps += act.shape[0]
         Ra = R[act]
-        grad = _batch_gradient(Ra, W, px, py)
+        grad = _batch_gradient(Ra, W, px, py, (RY[act], num[act], den[act], ok[act]))
         # d: the gradient centred under r, scaled to max |d| = 1 on r's support;
         # off it d is 0, or the huge log terms there would set the scale
         d = np.where(Ra > 0.0, grad - np.sum(Ra * grad, axis=1, keepdims=True), 0.0)
@@ -327,25 +376,43 @@ def sstar(
         d -= d.max(axis=1, keepdims=True)  # exponents <= 0 cannot overflow
         steps = Ra[:, None, :] * np.exp(alphas[None, :, None] * d[:, None, :])
         steps /= steps.sum(axis=2, keepdims=True)
-        cand_vals = _batch_values(steps.reshape(-1, nx), W, px, py).reshape(steps.shape[:2])
+        S = steps.reshape(-1, nx)
+        SY = S @ W
+        s_vals, s_num, s_den, s_ok = _ratio_terms(S, SY, px, py)
+        cand_vals = s_vals.reshape(steps.shape[:2])
         pick = np.argmax(cand_vals, axis=1)
         new_vals = cand_vals[np.arange(act.shape[0]), pick]
         old_vals = best_vals[act]
-        improved = new_vals > old_vals + ASCENT_TOL * np.maximum(1.0, np.abs(old_vals))
+        gain = new_vals - old_vals
+        improved = gain > ASCENT_TOL * np.maximum(1.0, np.abs(old_vals))
         if not improved.any():
             converged = True
             break
         # a start that did not improve would repeat the same failed step on
         # every later sweep, so it retires for good; its sweep depends on the
         # batch only through BLAS rounding (~1e-16 against the ASCENT_TOL test)
+        rows = (np.arange(act.shape[0]) * alphas.size + pick)[improved]
+        crawl = np.all(
+            gain[improved] <= HANDOFF_GAIN * np.maximum(1.0, np.abs(old_vals[improved]))
+        )
         act = act[improved]
-        R[act] = steps[improved, pick[improved]]
-        best_vals[act] = new_vals[improved]
+        R[act], RY[act], best_vals[act] = S[rows], SY[rows], s_vals[rows]
+        num[act], den[act], ok[act] = s_num[rows], s_den[rows], s_ok[rows]
+        if crawl and sweeps >= next_try:
+            i = _leader(best_vals, den)
+            finished = _newton_finish(R[i], best_vals[i], W, px, py)
+            if finished[2] and finished[1] >= best_vals[act].max():
+                converged = True
+                break
+            finished = None
+            next_try = sweeps + HANDOFF_RETRY
 
-    i = int(np.argmax(best_vals))
-    best_r, stationary = _newton_finish(R[i], best_vals[i], W, px, py)
-    value, den = _ratio_at(best_r, W, px, py)
-    if den < SEARCH_EXCLUSION:
+    if finished is None:
+        i = _leader(best_vals, den)
+        finished = _newton_finish(R[i], best_vals[i], W, px, py)
+    best_r, _, stationary, residual = finished
+    value, best_den = _ratio_at(best_r, W, px, py)
+    if best_den < SEARCH_EXCLUSION:
         raise NumericalError(
             "optimizer returned a point inside the excluded neighborhood"
         )
@@ -358,9 +425,10 @@ def sstar(
             "tol": ASCENT_TOL,
             "candidates": int(n_candidates),
             "ascent_sweeps": int(sweeps),
-            "best_denominator_nats": float(den),
+            "best_denominator_nats": float(best_den),
             "converged": converged and stationary,
             "ascent_row_sweeps": int(row_sweeps),
+            "kkt_residual": residual,
         },
     )
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infodep import (
     EpsTooLarge,
@@ -27,7 +29,14 @@ from infodep import (
     sstar,
     transpose,
 )
-from infodep.sstar import _batch_gradient, _batch_values
+from infodep.sstar import (
+    ASCENT_TOL,
+    _batch_gradient,
+    _batch_values,
+    _candidate_points,
+    _newton_finish,
+    _ratio_at,
+)
 from conftest import random_independent, random_joint
 
 FIG2_SSTAR = 0.6315172029168968
@@ -122,6 +131,7 @@ class TestSstar:
             "ascent_sweeps",
             "best_denominator_nats",
             "converged",
+            "kkt_residual",
         ):
             assert key in diag
 
@@ -265,6 +275,7 @@ class TestSearchEngine:
             j = _square(4) if name == "j4" else product(builtin("remark3"), _square(4))
         res = sstar(j)
         assert _face_gradient(j, res) <= 1e-9
+        assert res.diagnostics["kkt_residual"] <= 1e-9
 
     def test_no_loss_against_deleted_grids(self):
         rng = np.random.default_rng(2026)
@@ -277,6 +288,108 @@ class TestSearchEngine:
                 j = random_joint(rng, nx, ny)
             for jj in (j, transpose(j)):
                 assert sstar(jj).value >= _deleted_grid_best(jj) - 1e-12, k
+
+
+def _reference_sstar(j, restarts: int = 64, seed: int = 0, max_iter: int = 200) -> float:
+    """s* by the ascent without the Newton handoff: every sweep recomputes its
+    ratio terms, the ascent runs until no start improves or the sweep cap
+    ends it, and the Newton steps then finish the best start."""
+    nx = j.shape[0]
+    px, py = j.px, j.py
+    W = j.pxy / px[:, None]
+    R = _candidate_points(j, np.random.default_rng(seed), restarts)
+    vals = _batch_values(R, W, px, py)
+    keep = np.argsort(-vals)[: max(restarts + nx + 8, 32)]
+    R, best_vals = R[keep], vals[keep]
+    alphas = 4.0 * 0.5 ** np.arange(14)
+    act = np.arange(R.shape[0])
+    for _ in range(max_iter):
+        Ra = R[act]
+        grad = _batch_gradient(Ra, W, px, py)
+        d = np.where(Ra > 0.0, grad - np.sum(Ra * grad, axis=1, keepdims=True), 0.0)
+        d /= np.maximum(np.abs(d).max(axis=1, keepdims=True), 1e-300)
+        d -= d.max(axis=1, keepdims=True)
+        steps = Ra[:, None, :] * np.exp(alphas[None, :, None] * d[:, None, :])
+        steps /= steps.sum(axis=2, keepdims=True)
+        cand = _batch_values(steps.reshape(-1, nx), W, px, py).reshape(steps.shape[:2])
+        pick = np.argmax(cand, axis=1)
+        new_vals = cand[np.arange(act.shape[0]), pick]
+        old_vals = best_vals[act]
+        improved = new_vals > old_vals + ASCENT_TOL * np.maximum(1.0, np.abs(old_vals))
+        if not improved.any():
+            break
+        act = act[improved]
+        R[act] = steps[improved, pick[improved]]
+        best_vals[act] = new_vals[improved]
+    i = int(np.argmax(best_vals))
+    r = _newton_finish(R[i], best_vals[i], W, px, py)[0]
+    return _ratio_at(r, W, px, py)[0]
+
+
+def _handoff_case(name: str):
+    if name == "bec:1/4 reversed":
+        return transpose(builtin("bec:1/4"))
+    if name == "J":
+        return _square(35)
+    if name == "J x J":
+        return product(_square(35), _square(35))
+    return product(builtin("remark3"), _square(4))
+
+
+class TestNewtonHandoff:
+    """The ascent hands its first-order crawl to the Newton finish, and ties
+    within rounding go to the start farthest from p(x).  Against the ascent
+    without either, run to its full sweep cap, nothing is lost beyond
+    rounding.  The trio of joints whose ascent used to end at the cap now
+    converges well before it."""
+
+    CAPPED = ("bec:1/4 reversed", "J", "J x J")
+
+    @pytest.mark.parametrize("name", [*CAPPED, "remark3 x j4"])
+    def test_no_loss_against_full_ascent(self, name):
+        j = _handoff_case(name)
+        res = sstar(j)
+        assert res.value >= _reference_sstar(j) - 1e-12
+        if name in self.CAPPED:
+            assert res.diagnostics["ascent_sweeps"] < 200
+            assert res.diagnostics["converged"] is True
+
+    def test_no_loss_on_random_joints(self):
+        rng = np.random.default_rng(131)
+        for k in range(40):
+            j = random_joint(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+            for jj in (j, transpose(j)):
+                assert sstar(jj).value >= _reference_sstar(jj) - 1e-12, k
+
+    @pytest.mark.parametrize("k", range(1, 20))
+    def test_erasure_value_not_above_closed_form(self, k):
+        """The erasure channel's ratio is constant, 1 - eps, on the whole
+        simplex, so only rounding can lift a start above it.  Reversed, the
+        ratio's local limit at p(x) is the same 1 - eps, and the point mass
+        on an unerased output gives log 2 / log(2 / (1 - eps)), which is
+        at most 1 - eps only while eps <= 1/2."""
+        j = builtin(f"bec:{k}/20")
+        bound = 1.0 - k / 20 + 1e-14
+        assert sstar(j).value <= bound
+        if k <= 10:
+            assert sstar(transpose(j)).value <= bound
+
+
+_FACTOR_SHAPES = st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)])
+
+
+class TestMaxRuleProperty:
+    """s*(A x B) = max(s*(A), s*(B)) on products of random 2x2 to 3x3
+    factors, derandomized so that tier-1 draws the same examples on every
+    run.  An ascent that stops early falls short here first."""
+
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape_a=_FACTOR_SHAPES, shape_b=_FACTOR_SHAPES)
+    def test_product_meets_max_rule(self, seed, shape_a, shape_b):
+        rng = np.random.default_rng(seed)
+        a, b = random_joint(rng, *shape_a), random_joint(rng, *shape_b)
+        s_max = max(sstar(a).value, sstar(b).value)
+        assert abs(sstar(product(a, b)).value - s_max) <= 1e-12
 
 
 def _kernel_args(j):
