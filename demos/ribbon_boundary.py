@@ -41,7 +41,8 @@ curve = q_star_curve(j, ps)
 print(f"\n{'p':>6} {'q*(p)':>10} {'q*/p':>8} {'slope':>10}")
 for p, q, slope in zip(curve.ps, curve.qstars, curve.slopes):
     print(f"{p:>6g} {q:>10.6f} {q / p:>8.4f} {slope:>10.6f}")
-print("q*/p falls monotonically; the slope climbs from rho^2 toward s*")
+print("every slope is at least rho^2; the slope tends to s*(Y;X) as p -> 1 "
+      "and to s*(X;Y) as p grows")
 
 # near p = 1 the slope crosses over to the reversed constant s*(Y;X)
 slope_small = chordal_slope(j, 1.01, tol=1e-6)

@@ -53,7 +53,7 @@ from .errors import (
     ProductTooLarge,
     ValidationError,
 )
-from .ribbon import q_star_curve
+from .ribbon import QSTAR_MAX_P, q_star_curve
 from .spectral import binary_rho_squared, maximal_correlation
 from .sstar import binary_u_from_conditionals, ratio_for_u, sstar
 from .tcurve import ENVELOPE_GRID_N, lambda_dagger, lower_envelope_1d
@@ -219,9 +219,9 @@ def cmd_tcurve(args) -> int:
 
 def cmd_ribbon(args) -> int:
     j = _resolve(args.source)
-    if not 1.5 < args.pmax <= 128.0:
+    if not 1.5 < args.pmax <= QSTAR_MAX_P:
         raise ValidationError(
-            f"--pmax must be in (1.5, 128], got {args.pmax!r}"
+            f"--pmax must be in (1.5, {QSTAR_MAX_P:g}], got {args.pmax!r}"
         )
     if args.steps < 2:
         raise ValidationError(f"--steps must be at least 2, got {args.steps!r}")

@@ -83,10 +83,14 @@ def _as_labels(labels: Sequence) -> tuple:
     return out
 
 
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} contains non-finite entries")
+
+
 def _clean_probs(arr: np.ndarray, atol: float, what: str) -> np.ndarray:
     """Validate nonnegativity and normalization, return the renormalized array."""
-    if np.isnan(arr).any() or np.isinf(arr).any():
-        raise ValidationError(f"{what} contains non-finite entries")
+    _check_finite(arr, what)
     if arr.min() < -NEG_ATOL:
         raise NegativeEntry(f"{what} has a negative entry: {arr.min()!r}")
     arr = np.maximum(arr, 0.0)
@@ -98,6 +102,7 @@ def _clean_probs(arr: np.ndarray, atol: float, what: str) -> np.ndarray:
 
 def _clean_rows(arr: np.ndarray) -> np.ndarray:
     """Validate the rows of a channel matrix as pmfs, return them renormalized."""
+    _check_finite(arr, "channel matrix")
     if arr.min() < -NEG_ATOL:
         raise NegativeEntry(f"channel row entry {arr.min()!r} is negative")
     arr = np.maximum(arr, 0.0)

@@ -18,7 +18,8 @@ iteration is a fixed point of the first-order stationarity map
 
     g  proportional to  E[ (E[g|X])^(p-1) | Y ] ^ (1/(q-1))
 
-run entirely in log space so p as large as 128 cannot overflow.
+run entirely in log space so p as large as ``QSTAR_MAX_P`` = 128 cannot
+overflow.
 
 Near q* that map contracts at 0.96-1.0 per sweep, so each seed column of
 log g is accelerated by a two-term Anderson mix (Walker & Ni 2011): with T
@@ -79,6 +80,9 @@ GAP_TOL = 1e-9
 QSTAR_TOL = 1e-4
 #: hard cap on bisection iterations
 QSTAR_MAX_BISECT = 60
+#: the largest p q_star accepts: above it the bisection's answers drift
+#: (fig2's chordal slope reads 0.2585 at p = 1e9, below rho^2 = 0.6)
+QSTAR_MAX_P = 128.0
 #: the clamp on a non-finite slice maximum in the log-sum-exp shift
 _FMAX = np.finfo(float).max
 #: the Anderson mix is used only where the 2x2 determinant exceeds this share
@@ -246,10 +250,11 @@ def q_star(j: JointDistribution, p: float, tol: float = QSTAR_TOL, seed: int = 0
     Bisection on q; the bracket needs no evaluation at its ends because q = p
     always lies in the ribbon (conditional Jensen) and the q = 1 end is
     probed once: when (p, 1 + tol) already holds, the result is exactly 1.
+    p must lie in [1, ``QSTAR_MAX_P``].
     """
     p, tol = float(p), float(tol)
-    if not 1.0 <= p < math.inf:
-        raise ValidationError(f"p must be finite and >= 1, got {p!r}")
+    if not 1.0 <= p <= QSTAR_MAX_P:
+        raise ValidationError(f"p must be in [1, {QSTAR_MAX_P:g}], got {p!r}")
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
     if p - 1.0 < 1e-12 or p - 1.0 <= tol:
@@ -273,8 +278,8 @@ def q_star_curve(
 ) -> QStarCurve:
     """q*(p) and chordal slopes over an increasing sequence of p > 1 values."""
     ps = np.asarray(list(ps), dtype=float)
-    if ps.size == 0 or ps.min() <= 1.0:
-        raise ValidationError("curve sampling needs p values > 1")
+    if ps.size == 0 or ps.min() <= 1.0 or ps.max() > QSTAR_MAX_P:
+        raise ValidationError(f"curve sampling needs p values in (1, {QSTAR_MAX_P:g}]")
     if np.any(np.diff(ps) <= 0.0):
         raise ValidationError("p values must be strictly increasing")
     qstars = np.array([q_star(j, p, tol, seed) for p in ps])

@@ -75,17 +75,20 @@ SEARCH_EXCLUSION = 1e-9
 NUM_NOISE_FLOOR = 1e-13
 #: relative gain below which an ascent step does not count as improving
 ASCENT_TOL = 1e-9
+#: most Dirichlet restarts sstar accepts, 64 times the default: the first
+#: sweep holds about 14 |X| floats per restart
+MAX_RESTARTS = 4096
 #: witness-ray candidates p(x) (1 +- t f): RAY_POINTS values of t each way,
 #: geometric from RAY_START (D ~ t^2/2 nats) out to the simplex boundary
 RAY_START, RAY_POINTS = 6.5e-5, 20
 #: Newton finish: step budget; condition number above which the ratio is
 #: flat along the face; model gain too small for the ratio to judge
 NEWTON_STEPS, NEWTON_MAX_COND, NEWTON_EXACT_GAIN = 8, 1e8, 1e-12
-#: handoff: once every start that improved in a sweep gained at most
-#: HANDOFF_GAIN relative, the ascent is a first-order crawl and Newton
-#: finishes the leader; if that finish does not end the ascent, the next
-#: try comes HANDOFF_RETRY sweeps later
-HANDOFF_GAIN, HANDOFF_RETRY = 1e-5, 8
+#: handoff: the first time every start that improved in a sweep gained at
+#: most HANDOFF_GAIN relative, the ascent is a first-order crawl and Newton
+#: finishes the leader once; if that finish does not end the ascent, the
+#: ascent runs on to its own end
+HANDOFF_GAIN = 1e-5
 #: the kernel rounds each divergence to ~1e-16/|t - 1| relative, t = r/p (see
 #: ``distributions._kl_terms``), so a ratio of two is good to about
 #: TIE_ULPS eps/|t - 1|, with |t - 1| ~ sqrt(2 D(r || p_X)).  The leader is
@@ -166,20 +169,21 @@ def kl_ratio(j: JointDistribution, r: PMF, base: LogBase = LogBase.BITS) -> floa
     return value
 
 
-def _ratio_terms(R: np.ndarray, RY: np.ndarray, px: np.ndarray, py: np.ndarray):
-    """Ratio values, numerators, denominators and the in-domain mask of the
-    input rows R whose channel outputs are RY, all in nats.
+def _ratio_terms(R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray):
+    """Ratio values, channel outputs R @ W, numerators, denominators and the
+    in-domain mask of the input rows R, divergences in nats.
 
     Rows inside the excluded neighborhood of px get value -inf; rows whose
     numerator sits below the float noise floor get the honest value 0.
     """
+    RY = R @ W
     den = _kl_terms(R, px).sum(axis=1)
     num = _kl_terms(RY, py).sum(axis=1)
     ok = den > SEARCH_EXCLUSION
     ratios = np.where(
         num < NUM_NOISE_FLOOR, 0.0, num / np.maximum(den, 1e-300)
     )
-    return np.where(ok, ratios, -np.inf), num, den, ok
+    return np.where(ok, ratios, -np.inf), RY, num, den, ok
 
 
 def _ratio_at(
@@ -190,34 +194,24 @@ def _ratio_at(
     A numerator below ``NUM_NOISE_FLOOR`` gives 0; otherwise the value is
     clamped to [0, 1], the range of the true ratio.
     """
-    _, num, den, _ = _ratio_terms(r[None, :], r[None, :] @ W, px, py)
+    _, _, num, den, _ = _ratio_terms(r[None, :], W, px, py)
     num, den = float(num[0]), float(den[0])
     if num < NUM_NOISE_FLOOR:
         return 0.0, den
     return min(max(num / den, 0.0), 1.0), den
 
 
-def _batch_values(
-    R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray
-) -> np.ndarray:
-    """Ratio values at the input rows R."""
-    return _ratio_terms(R, R @ W, px, py)[0]
-
-
 def _batch_gradient(
-    R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray, terms=None
+    R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray, terms
 ) -> np.ndarray:
     """Ratio gradients at the input rows R.
 
     ``terms`` are the outputs R @ W and the numerators, denominators and
-    in-domain mask that :func:`_ratio_terms` gave for R, when the caller
-    already has them.  Rows inside the excluded neighborhood of px get a
-    zero gradient.  Log arguments are floored at 1e-300 so boundary rows
-    produce large finite subgradient components instead of nan.
+    in-domain mask that :func:`_ratio_terms` gave for R.  Rows inside the
+    excluded neighborhood of px get a zero gradient.  Log arguments are
+    floored at 1e-300 so boundary rows produce large finite subgradient
+    components instead of nan.
     """
-    if terms is None:
-        RY = R @ W
-        terms = (RY, *_ratio_terms(R, RY, px, py)[1:])
     RY, num, den, ok = terms
     g_num = (np.log(np.maximum(RY, 1e-300) / py) + 1.0) @ W.T
     g_den = np.log(np.maximum(R, 1e-300) / px) + 1.0
@@ -257,14 +251,15 @@ def _leader(vals: np.ndarray, den: np.ndarray) -> int:
 
 
 def _newton_finish(
-    r: np.ndarray, value: float, W: np.ndarray, px: np.ndarray, py: np.ndarray
+    r: np.ndarray, value: float, den: float, W: np.ndarray, px: np.ndarray, py: np.ndarray
 ) -> tuple[np.ndarray, float, bool, float]:
-    """Where Dinkelbach-Newton steps from r on its face end, each halved until
-    the ratio rises; the ratio there; whether they ended stationary, at a
-    step too small for the ratio to judge or on a face where the ratio is
-    flat (a near-singular Newton system), rather than with no rising step or
-    with NEWTON_STEPS spent; and the face KKT residual there, the largest
-    entry of the ratio's gradient projected onto the face."""
+    """Where Dinkelbach-Newton steps from r (ratio value, denominator den nats)
+    end on its face, each halved until the ratio rises; the ratio there;
+    whether they ended stationary, at a step too small for the ratio to judge
+    or on a face where the ratio is flat (a near-singular Newton system),
+    rather than with no rising step or with NEWTON_STEPS spent; and the face
+    KKT residual there, the largest entry of the ratio's gradient projected
+    onto the face."""
     s = r > 0.0
     Ws, pxs = W[s], px[s]
     stationary = False
@@ -272,7 +267,6 @@ def _newton_finish(
         rs = r[s]
         ry = np.maximum(rs @ Ws, 1e-300)  # outputs off the face's reach add 0
         g = Ws @ np.log(ry / py) - value * np.log(rs / pxs)
-        den = _ratio_at(r, W, px, py)[1]
         residual = float(np.abs(g - g.mean()).max()) / den
         if stationary or k == NEWTON_STEPS:
             break
@@ -289,12 +283,12 @@ def _newton_finish(
             if trial.min() > 0.0:
                 cand = np.zeros_like(r)
                 cand[s] = trial / trial.sum()
-                cand_val = _batch_values(cand[None, :], W, px, py)[0]
-                if cand_val > value or 0.0 < model_gain <= NEWTON_EXACT_GAIN:
+                cand_val, _, _, cand_den, _ = _ratio_terms(cand[None, :], W, px, py)
+                if cand_val[0] > value or 0.0 < model_gain <= NEWTON_EXACT_GAIN:
                     break
         else:  # no step along the Newton direction raises the ratio
             break
-        r, value = cand, cand_val
+        r, value, den = cand, cand_val[0], float(cand_den[0])
         stationary = 0.0 < model_gain <= NEWTON_EXACT_GAIN
     return r, value, stationary, residual
 
@@ -317,23 +311,24 @@ def sstar(
     terms a sweep computes for the steps it accepts (outputs, numerators,
     denominators) give the next sweep's gradients.
 
-    Once every start that improved in a sweep gained at most
+    The first time every start that improved in a sweep gained at most
     ``HANDOFF_GAIN`` relative, the ascent has become a first-order crawl and
     Dinkelbach-Newton steps finish the leader on its face.  If they end
     stationary at a value no active start exceeds, that point ends the
-    ascent; otherwise the ascent goes on and tries again ``HANDOFF_RETRY``
-    sweeps later.  The ascent also ends when no start improves by more than
-    ``ASCENT_TOL`` relative, or after ``max_iter`` sweeps; Newton steps then
-    finish the leader.  The leader is the best start, or among starts tied
-    with it within the ratio's rounding (``TIE_ULPS``) the one farthest from
-    p(x).  ``diagnostics["converged"]`` is False when the sweep cap ended
-    the ascent or the Newton steps did not end stationary, and
+    ascent; otherwise the ascent goes on without another try.  The ascent
+    also ends when no start improves by more than ``ASCENT_TOL`` relative,
+    or after ``max_iter`` sweeps; Newton steps then finish the leader.  The
+    leader is the best start, or among starts tied with it within the
+    ratio's rounding (``TIE_ULPS``) the one farthest from p(x).
+    ``diagnostics["converged"]`` is False when the sweep cap ended the
+    ascent or the Newton steps did not end stationary, and
     ``diagnostics["kkt_residual"]`` is the largest entry of the ratio's
     gradient projected onto the maximizer's face.  The value is exactly the
-    ratio at the reported maximizer.
+    ratio at the reported maximizer.  ``restarts`` may be at most
+    ``MAX_RESTARTS``.
     """
-    if restarts < 0:
-        raise ValidationError(f"restarts must be >= 0, got {restarts!r}")
+    if not 0 <= restarts <= MAX_RESTARTS:
+        raise ValidationError(f"restarts must be in [0, {MAX_RESTARTS}], got {restarts!r}")
     nx = j.shape[0]
     px = j.px
     if nx < 2:
@@ -350,8 +345,7 @@ def sstar(
     rng = np.random.default_rng(seed)
 
     R = _candidate_points(j, rng, restarts)
-    RY = R @ W
-    vals, num, den, ok = _ratio_terms(R, RY, px, py)
+    vals, RY, num, den, ok = _ratio_terms(R, W, px, py)
     n_candidates = R.shape[0]
 
     keep = np.argsort(-vals)[: max(restarts + nx + 8, 32)]
@@ -361,7 +355,7 @@ def sstar(
     act = np.arange(R.shape[0])
     sweeps = 0
     row_sweeps = 0
-    next_try = 0
+    tried = False
     converged = False
     finished = None
     for _ in range(max_iter):
@@ -377,8 +371,7 @@ def sstar(
         steps = Ra[:, None, :] * np.exp(alphas[None, :, None] * d[:, None, :])
         steps /= steps.sum(axis=2, keepdims=True)
         S = steps.reshape(-1, nx)
-        SY = S @ W
-        s_vals, s_num, s_den, s_ok = _ratio_terms(S, SY, px, py)
+        s_vals, SY, s_num, s_den, s_ok = _ratio_terms(S, W, px, py)
         cand_vals = s_vals.reshape(steps.shape[:2])
         pick = np.argmax(cand_vals, axis=1)
         new_vals = cand_vals[np.arange(act.shape[0]), pick]
@@ -398,18 +391,18 @@ def sstar(
         act = act[improved]
         R[act], RY[act], best_vals[act] = S[rows], SY[rows], s_vals[rows]
         num[act], den[act], ok[act] = s_num[rows], s_den[rows], s_ok[rows]
-        if crawl and sweeps >= next_try:
+        if crawl and not tried:
+            tried = True
             i = _leader(best_vals, den)
-            finished = _newton_finish(R[i], best_vals[i], W, px, py)
+            finished = _newton_finish(R[i], best_vals[i], float(den[i]), W, px, py)
             if finished[2] and finished[1] >= best_vals[act].max():
                 converged = True
                 break
             finished = None
-            next_try = sweeps + HANDOFF_RETRY
 
     if finished is None:
         i = _leader(best_vals, den)
-        finished = _newton_finish(R[i], best_vals[i], W, px, py)
+        finished = _newton_finish(R[i], best_vals[i], float(den[i]), W, px, py)
     best_r, _, stationary, residual = finished
     value, best_den = _ratio_at(best_r, W, px, py)
     if best_den < SEARCH_EXCLUSION:
@@ -461,8 +454,7 @@ def ratio_for_u(
     scale = base.from_nats
     px, py = j.px, j.py
     W = j.pxy / px[:, None]
-    Ry = Rx @ W
-    _, num, den, _ = _ratio_terms(Rx, Ry, px, py)
+    _, Ry, num, den, _ = _ratio_terms(Rx, W, px, py)
     i_ux = float(w @ den) * scale
     i_uy = float(w @ num) * scale
 

@@ -13,6 +13,7 @@ import pytest
 import infodep
 from infodep import builtin, sstar
 from infodep.cli import main
+from infodep.sstar import MAX_RESTARTS
 
 
 def run(capsys, *argv):
@@ -93,6 +94,13 @@ class TestMeasures:
 
     def test_negative_restarts_exits_2(self, capsys):
         code, out, err = run(capsys, "measures", "fig2", "--restarts", "-5")
+        assert code == 2
+        assert out == "" and "restarts" in err
+
+    def test_restarts_above_limit_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "measures", "fig2", "--restarts", str(MAX_RESTARTS + 1)
+        )
         assert code == 2
         assert out == "" and "restarts" in err
 

@@ -115,6 +115,11 @@ class TestJointAndChannel:
         with pytest.raises(SumNotOne):
             Channel((0, 1), (0, 1), np.array([[0.7, 0.7], [0.5, 0.5]]), inp)
 
+    def test_channel_rejects_non_finite_rows(self):
+        inp = PMF((0, 1), np.array([0.5, 0.5]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            Channel((0, 1), (0, 1), [[math.nan, 1.0], [0.5, 0.5]], inp)
+
     def test_channel_rejects_label_mismatch(self):
         inp = PMF(("u", "v"), np.array([0.5, 0.5]))
         with pytest.raises(LabelMismatch):

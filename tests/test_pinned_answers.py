@@ -15,11 +15,14 @@ j4 and the product by rounding (at most 3.8e-14), and raised the product's
 value by 1.1e-16, to j4's value exactly.  The tie rule moved bec:0.25 from
 the start next to p(x), whose value rounding had put 8.7e-13 above the
 supremum 0.75, to one where the ratio rounds to 0.75 + 3.3e-16.  Every other
-value is bit-identical.  Skipping work in the search must not move a single
-bit, so the comparisons are exact.  The ``lambda_dagger`` constants were re-recorded when its
-bisection to a 1e-5 bracket, with a 1e-8 bit touch tolerance, gave way to
-Dinkelbach's iteration, which returns the exact grid threshold (or rho^2
-when that is larger) with no tolerance.  A change that is meant to alter
+value is bit-identical.  The capped 5x4 joint was added when the handoff
+stopped retrying after a failed try: the one try fails on it and the
+ascent runs to its sweep cap, so it pins that path.  Skipping work in the
+search must not move a single bit, so the comparisons are exact.  The
+``lambda_dagger`` constants were re-recorded when its bisection to a 1e-5
+bracket, with a 1e-8 bit touch tolerance, gave way to Dinkelbach's
+iteration, which returns the exact grid threshold (or rho^2 when that is
+larger) with no tolerance.  A change that is meant to alter
 these answers must record new constants and say why.  The ribbon constants
 were recorded before the contraction-gap sweep was rewritten to make fewer
 numpy calls with the same floating-point operations.  The eight
@@ -50,6 +53,20 @@ J4_TABLE = np.random.default_rng(4).dirichlet(np.ones(16)).reshape(4, 4)
 S3_TABLE = np.random.default_rng(29).dirichlet(np.ones(9)).reshape(3, 3)
 #: |Y| = 9 > 8, so the gap draws GAP_RESTARTS Dirichlet seeds instead of 288
 Y9_TABLE = np.random.default_rng(9).dirichlet(np.ones(18)).reshape(2, 9)
+
+
+def _capped_table() -> np.ndarray:
+    """The 20th flat-Dirichlet joint of default_rng(2026), shapes from
+    integers(2, 6): a 5x4 on which the Newton handoff fails and sstar's
+    ascent ends at its sweep cap."""
+    rng = np.random.default_rng(2026)
+    for _ in range(20):
+        nx, ny = rng.integers(2, 6), rng.integers(2, 6)
+        table = rng.dirichlet(np.ones(nx * ny)).reshape(nx, ny)
+    return table
+
+
+CAPPED_TABLE = _capped_table()
 
 #: value, maximizer, ascent_sweeps and converged of ``sstar`` with its defaults
 SSTAR_PINNED = {
@@ -97,6 +114,18 @@ SSTAR_PINNED = {
         ),
         55,
         True,
+    ),
+    "capped 5x4": (
+        "0x1.5db0f2bfb6bb9p-2",
+        (
+            "0x1.f9d2bf43b9319p-3",
+            "0x1.831ee77d205cfp-2",
+            "0x1.067e5922f68f7p-4",
+            "0x1.d9571098d1b2cp-3",
+            "0x1.46b2692f72344p-4",
+        ),
+        200,
+        False,
     ),
 }
 
@@ -151,6 +180,8 @@ def _joint(name: str):
         return _table_joint(S3_TABLE)
     if name == "seeded 2x9":
         return _table_joint(Y9_TABLE)
+    if name == "capped 5x4":
+        return _table_joint(CAPPED_TABLE)
     if name == "j4":
         return j4
     if name == "remark3 x j4":

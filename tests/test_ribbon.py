@@ -32,6 +32,7 @@ from infodep.ribbon import (
     GAP_RESTARTS,
     GAP_TOL,
     QSTAR_MAX_BISECT,
+    QSTAR_MAX_P,
     QSTAR_TOL,
     _anderson_step,
     _gap,
@@ -369,6 +370,20 @@ class TestQStar:
     def test_non_finite_or_invalid_arguments_rejected(self, fig2, p, tol):
         with pytest.raises(ValidationError):
             q_star(fig2, p, tol)
+
+    def test_p_above_limit_refused_before_any_sweep(self, fig2, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("a contraction-gap sweep ran")
+
+        monkeypatch.setattr("infodep.ribbon._gap", no_sweep)
+        p = QSTAR_MAX_P + 1.0
+        for call in (
+            lambda: q_star(fig2, p),
+            lambda: q_star_curve(fig2, (2.0, p)),
+            lambda: chordal_slope(fig2, p),
+        ):
+            with pytest.raises(ValidationError):
+                call()
 
     def test_identity_boundary_is_diagonal(self, identity_coupling):
         assert q_star(identity_coupling, 2.0) == pytest.approx(2.0, abs=1e-3)

@@ -31,11 +31,12 @@ from infodep import (
 )
 from infodep.sstar import (
     ASCENT_TOL,
+    MAX_RESTARTS,
     _batch_gradient,
-    _batch_values,
     _candidate_points,
     _newton_finish,
     _ratio_at,
+    _ratio_terms,
 )
 from conftest import random_independent, random_joint
 
@@ -138,6 +139,10 @@ class TestSstar:
     def test_negative_restarts_rejected(self, fig2):
         with pytest.raises(ValidationError):
             sstar(fig2, restarts=-5)
+
+    def test_restarts_above_limit_rejected(self, fig2):
+        with pytest.raises(ValidationError, match="restarts"):
+            sstar(fig2, restarts=MAX_RESTARTS + 1)
 
     def test_converged_flag(self, fig2, remark3):
         assert sstar(fig2).diagnostics["converged"] is True
@@ -290,6 +295,21 @@ class TestSearchEngine:
                 assert sstar(jj).value >= _deleted_grid_best(jj) - 1e-12, k
 
 
+def _values(R, W, px, py):
+    """Ratio values at the input rows R."""
+    return _ratio_terms(R, W, px, py)[0]
+
+
+def _gradient(R, W, px, py):
+    """Ratio gradients at the input rows R, from freshly computed terms."""
+    return _batch_gradient(R, W, px, py, _ratio_terms(R, W, px, py)[1:])
+
+
+def _finish(r, value, W, px, py):
+    """The Newton finish from r, with r's denominator computed afresh."""
+    return _newton_finish(r, value, _ratio_at(r, W, px, py)[1], W, px, py)
+
+
 def _reference_sstar(j, restarts: int = 64, seed: int = 0, max_iter: int = 200) -> float:
     """s* by the ascent without the Newton handoff: every sweep recomputes its
     ratio terms, the ascent runs until no start improves or the sweep cap
@@ -298,20 +318,20 @@ def _reference_sstar(j, restarts: int = 64, seed: int = 0, max_iter: int = 200) 
     px, py = j.px, j.py
     W = j.pxy / px[:, None]
     R = _candidate_points(j, np.random.default_rng(seed), restarts)
-    vals = _batch_values(R, W, px, py)
+    vals = _values(R, W, px, py)
     keep = np.argsort(-vals)[: max(restarts + nx + 8, 32)]
     R, best_vals = R[keep], vals[keep]
     alphas = 4.0 * 0.5 ** np.arange(14)
     act = np.arange(R.shape[0])
     for _ in range(max_iter):
         Ra = R[act]
-        grad = _batch_gradient(Ra, W, px, py)
+        grad = _gradient(Ra, W, px, py)
         d = np.where(Ra > 0.0, grad - np.sum(Ra * grad, axis=1, keepdims=True), 0.0)
         d /= np.maximum(np.abs(d).max(axis=1, keepdims=True), 1e-300)
         d -= d.max(axis=1, keepdims=True)
         steps = Ra[:, None, :] * np.exp(alphas[None, :, None] * d[:, None, :])
         steps /= steps.sum(axis=2, keepdims=True)
-        cand = _batch_values(steps.reshape(-1, nx), W, px, py).reshape(steps.shape[:2])
+        cand = _values(steps.reshape(-1, nx), W, px, py).reshape(steps.shape[:2])
         pick = np.argmax(cand, axis=1)
         new_vals = cand[np.arange(act.shape[0]), pick]
         old_vals = best_vals[act]
@@ -322,7 +342,7 @@ def _reference_sstar(j, restarts: int = 64, seed: int = 0, max_iter: int = 200) 
         R[act] = steps[improved, pick[improved]]
         best_vals[act] = new_vals[improved]
     i = int(np.argmax(best_vals))
-    r = _newton_finish(R[i], best_vals[i], W, px, py)[0]
+    r = _finish(R[i], best_vals[i], W, px, py)[0]
     return _ratio_at(r, W, px, py)[0]
 
 
@@ -406,7 +426,7 @@ class TestRatioKernel:
         j = random_joint(rng, *shape)
         nx = shape[0]
         R = rng.dirichlet(np.full(nx, 5.0), size=4)  # interior rows
-        grads = _batch_gradient(R, *_kernel_args(j))
+        grads = _gradient(R, *_kernel_args(j))
         h = 1e-6  # truncation error ~1e-10 here, rounding ~1e-10
         for r, g in zip(R, grads):
             for _ in range(3):
@@ -423,10 +443,10 @@ class TestRatioKernel:
         j = random_joint(rng, *shape)
         args = _kernel_args(j)
         R = rng.dirichlet(np.ones(shape[0]), size=50)
-        vals, grads = _batch_values(R, *args), _batch_gradient(R, *args)
+        vals, grads = _values(R, *args), _gradient(R, *args)
         for r, val, g in zip(R, vals, grads):
-            alone_val = _batch_values(r[None, :], *args)[0]
-            alone_g = _batch_gradient(r[None, :], *args)[0]
+            alone_val = _values(r[None, :], *args)[0]
+            alone_g = _gradient(r[None, :], *args)[0]
             assert abs(alone_val - val) <= 1e-13 * abs(val)
             assert np.abs(alone_g - g).max() <= 1e-13 * np.abs(g).max()
 

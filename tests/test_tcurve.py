@@ -485,3 +485,7 @@ class TestScanInputs:
     def test_rejects_non_stochastic_rows(self):
         with pytest.raises(ValidationError):
             scan_inputs(np.array([[0.7, 0.7], [0.5, 0.5]]))
+
+    def test_rejects_non_finite_rows(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            scan_inputs([[math.nan, 1.0], [0.5, 0.5]])
