@@ -28,117 +28,23 @@ Probabilities live in :mod:`infodep.distributions`; built-in example joints
 in :mod:`infodep.catalog`; the command-line front end in :mod:`infodep.cli`.
 """
 
-from .catalog import builtin
-from .distributions import (
-    Channel,
-    JointDistribution,
-    LogBase,
-    PMF,
-    channel_of,
-    conditional_expectation,
-    entropy,
-    joint_from_matrix,
-    kl_divergence,
-    load_joint_json,
-    lp_norm,
-    marginals,
-    mutual_information,
-    product,
-    push_forward,
-    transpose,
-)
-from .errors import (
-    BadOrder,
-    BoundaryPoint,
-    DegenerateAlphabet,
-    EpsTooLarge,
-    InfodepError,
-    LabelMismatch,
-    LambdaOutOfRange,
-    NegativeEntry,
-    NotBinary,
-    NotBinaryInput,
-    NumericalError,
-    ParseError,
-    PEqualsOne,
-    ProductTooLarge,
-    RTooCloseToP,
-    SumNotOne,
-    SupportViolation,
-    ValidationError,
-    ZeroFunction,
-    ZeroIUX,
-    ZeroMarginal,
-)
-from .ribbon import (
-    QStarCurve,
-    chordal_slope,
-    conjugate,
-    contraction_gap,
-    in_ribbon,
-    q_star,
-    q_star_curve,
-    slope_at_one,
-)
-from .spectral import (
-    CorrelationWitness,
-    QMatrix,
-    backward_coupling,
-    binary_rho_squared,
-    hessian_rho_lambda,
-    maximal_correlation,
-    q_matrix,
-    renyi_value,
-)
-from .sstar import (
-    SStarResult,
-    UDecomposition,
-    UStats,
-    binary_u_from_conditionals,
-    kl_ratio,
-    perturbation_sequence,
-    ratio_for_u,
-    sstar,
-)
-from .tcurve import (
-    Envelope1D,
-    hessian_t_lambda,
-    lambda_dagger,
-    lower_envelope_1d,
-    scan_inputs,
-    t_lambda,
-    touches_envelope,
-)
+import sys
+
+from .catalog import *
+from .distributions import *
+from .errors import *
+from .ribbon import *
+from .spectral import *
+# importing the submodule sets ``infodep.sstar`` to it; this star import
+# then rebinds the name to the function, and a later import of the loaded
+# submodule does not set it again
+from .sstar import *
+from .tcurve import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # distributions
-    "LogBase", "PMF", "JointDistribution", "Channel",
-    "joint_from_matrix", "marginals", "channel_of", "push_forward",
-    "entropy", "kl_divergence", "mutual_information", "product",
-    "transpose", "lp_norm", "conditional_expectation", "load_joint_json",
-    # spectral
-    "QMatrix", "CorrelationWitness", "q_matrix", "maximal_correlation",
-    "binary_rho_squared", "renyi_value", "backward_coupling",
-    "hessian_rho_lambda",
-    # tcurve
-    "Envelope1D", "t_lambda", "hessian_t_lambda", "lower_envelope_1d",
-    "touches_envelope", "lambda_dagger", "scan_inputs",
-    # sstar
-    "UDecomposition", "UStats", "SStarResult", "kl_ratio", "sstar",
-    "ratio_for_u", "binary_u_from_conditionals", "perturbation_sequence",
-    # ribbon
-    "QStarCurve", "contraction_gap", "in_ribbon", "q_star", "q_star_curve",
-    "chordal_slope", "slope_at_one", "conjugate",
-    # catalog
-    "builtin",
-    # errors
-    "InfodepError", "ValidationError", "ParseError", "NegativeEntry",
-    "SumNotOne", "ZeroMarginal", "LabelMismatch", "SupportViolation",
-    "DegenerateAlphabet", "NotBinary", "ZeroFunction", "LambdaOutOfRange",
-    "BoundaryPoint", "NotBinaryInput", "RTooCloseToP", "ZeroIUX",
-    "EpsTooLarge", "BadOrder", "PEqualsOne", "ProductTooLarge",
-    "NumericalError",
+#: each public name is listed once, in its own module's ``__all__``
+_MODULES = ("catalog", "distributions", "errors", "ribbon", "spectral", "sstar", "tcurve")
+__all__ = ["__version__"] + [
+    name for module in _MODULES for name in sys.modules[f"{__name__}.{module}"].__all__
 ]

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .distributions import JointDistribution, joint_from_matrix
 from .errors import ParseError
 
-__all__ = ["BUILTIN_HELP", "is_builtin", "builtin"]
+__all__ = ["builtin"]
 
 BUILTIN_HELP = "fig2 | remark3 | bsc:<eps> | bec:<e> | independent"
 

@@ -20,8 +20,9 @@ Inputs are built-in names (``fig2``, ``remark3``, ``bsc:<eps>``, ``bec:<e>``,
 
 Exit codes: 0 success; 2 malformed input; 3 unsupported shape (non-binary
 where binary is required, degenerate or oversized alphabets); 4 numerical
-failure.  All stochastic components take an explicit seed (default 0), so
-identical invocations produce byte-identical output.
+failure; each error class in :mod:`infodep.errors` carries its code.  All
+stochastic components take an explicit seed (default 0), so identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -43,22 +44,16 @@ from .distributions import (
     product,
     transpose,
 )
-from .errors import (
-    DegenerateAlphabet,
-    InfodepError,
-    NotBinary,
-    NotBinaryInput,
-    NumericalError,
-    ParseError,
-    ProductTooLarge,
-    ValidationError,
-)
+from .errors import InfodepError, ValidationError
 from .ribbon import QSTAR_MAX_P, q_star_curve
 from .spectral import binary_rho_squared, maximal_correlation
 from .sstar import binary_u_from_conditionals, ratio_for_u, sstar
 from .tcurve import ENVELOPE_GRID_N, lambda_dagger, lower_envelope_1d
 
 __all__ = ["ReportDocument", "main", "entry"]
+
+#: the most rows ``infodep ribbon --steps`` takes, one q* bisection each
+RIBBON_MAX_STEPS = 256
 
 #: the (P(U=1|X=0), P(U=1|X=1)) pairs of the built-in counterexample table:
 #: binary summaries of the fig2 joint with shrinking weight on U = 1, whose
@@ -223,8 +218,10 @@ def cmd_ribbon(args) -> int:
         raise ValidationError(
             f"--pmax must be in (1.5, {QSTAR_MAX_P:g}], got {args.pmax!r}"
         )
-    if args.steps < 2:
-        raise ValidationError(f"--steps must be at least 2, got {args.steps!r}")
+    if not 2 <= args.steps <= RIBBON_MAX_STEPS:
+        raise ValidationError(
+            f"--steps must be in [2, {RIBBON_MAX_STEPS}], got {args.steps!r}"
+        )
     ps = np.geomspace(1.5, args.pmax, args.steps)
     curve = q_star_curve(j, ps, seed=args.seed)
     fwd = sstar(j, seed=args.seed)
@@ -247,11 +244,6 @@ def cmd_ribbon(args) -> int:
 def cmd_tensor(args) -> int:
     j1 = _resolve(args.source1)
     j2 = _resolve(args.source2)
-    nx, ny = j1.shape[0] * j2.shape[0], j1.shape[1] * j2.shape[1]
-    if nx > 64 or ny > 64:
-        raise ProductTooLarge(
-            f"product alphabets {nx}x{ny} exceed the 64-symbol limit"
-        )
     jp = product(j1, j2)
     rho1 = maximal_correlation(j1).rho
     rho2_ = maximal_correlation(j2).rho
@@ -261,7 +253,7 @@ def cmd_tensor(args) -> int:
     sp = sstar(jp, restarts=args.restarts, seed=args.seed).value
     doc = ReportDocument(
         inputs={"source_1": args.source1, "source_2": args.source2,
-                "product_shape": f"{nx}x{ny}"},
+                "product_shape": f"{jp.shape[0]}x{jp.shape[1]}"},
         values={
             "rho_1": _fmt(rho1),
             "rho_2": _fmt(rho2_),
@@ -342,21 +334,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NotBinaryInput, NotBinary, ProductTooLarge, DegenerateAlphabet) as exc:
+    except (InfodepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InfodepError as exc:  # pragma: no cover - future error kinds
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        # each error class carries its exit code; an unreadable file gives 2
+        return getattr(exc, "exit_code", 2)
 
 
 def entry() -> None:

@@ -24,9 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    AlphabetTooLarge,
     LabelMismatch,
     NegativeEntry,
     ParseError,
+    ProductTooLarge,
     SumNotOne,
     SupportViolation,
     ValidationError,
@@ -56,6 +58,9 @@ __all__ = [
 INGEST_ATOL = 1e-9
 #: slack below zero treated as rounding noise rather than a negative entry
 NEG_ATOL = 1e-12
+#: the most symbols an alphabet of a joint distribution or channel may have:
+#: a q* probe alone holds |X| |Y| (|Y| + 33) floats per array once |Y| > 8
+MAX_ALPHABET = 64
 
 
 class LogBase(enum.Enum):
@@ -81,6 +86,13 @@ def _as_labels(labels: Sequence) -> tuple:
     if not distinct:
         raise ValidationError(f"labels are not distinct: {out!r}")
     return out
+
+
+def _check_sizes(
+    nx: int, ny: int, what: str = "alphabets", error: type = AlphabetTooLarge
+) -> None:
+    if nx > MAX_ALPHABET or ny > MAX_ALPHABET:
+        raise error(f"{what} {nx}x{ny} exceed the {MAX_ALPHABET}-symbol limit")
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -140,7 +152,8 @@ class PMF:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """A joint distribution over X x Y with strictly positive marginals."""
+    """A joint distribution over X x Y with strictly positive marginals and
+    at most ``MAX_ALPHABET`` symbols per alphabet."""
 
     x_labels: tuple
     y_labels: tuple
@@ -149,6 +162,7 @@ class JointDistribution:
     def __post_init__(self):
         object.__setattr__(self, "x_labels", _as_labels(self.x_labels))
         object.__setattr__(self, "y_labels", _as_labels(self.y_labels))
+        _check_sizes(len(self.x_labels), len(self.y_labels))
         arr = np.asarray(self.pxy, dtype=float).copy()
         if arr.shape != (len(self.x_labels), len(self.y_labels)):
             raise ValidationError(
@@ -178,7 +192,8 @@ class JointDistribution:
 
 @dataclass(frozen=True)
 class Channel:
-    """A row-stochastic transition matrix together with its input marginal."""
+    """A row-stochastic transition matrix together with its input marginal,
+    with at most ``MAX_ALPHABET`` symbols per alphabet."""
 
     x_labels: tuple
     y_labels: tuple
@@ -188,6 +203,7 @@ class Channel:
     def __post_init__(self):
         object.__setattr__(self, "x_labels", _as_labels(self.x_labels))
         object.__setattr__(self, "y_labels", _as_labels(self.y_labels))
+        _check_sizes(len(self.x_labels), len(self.y_labels))
         arr = np.asarray(self.pyx, dtype=float).copy()
         if arr.shape != (len(self.x_labels), len(self.y_labels)):
             raise ValidationError(
@@ -300,8 +316,12 @@ def mutual_information(j: JointDistribution, base: LogBase = LogBase.BITS) -> fl
 def product(j1: JointDistribution, j2: JointDistribution) -> JointDistribution:
     """The independent product joint on (X1 x X2, Y1 x Y2).
 
-    Labels of the product are pairs of factor labels.
+    Labels of the product are pairs of factor labels.  Raises
+    :class:`ProductTooLarge` before building anything when an alphabet of
+    the product would exceed ``MAX_ALPHABET`` symbols.
     """
+    (n1, m1), (n2, m2) = j1.shape, j2.shape
+    _check_sizes(n1 * n2, m1 * m2, "product alphabets", ProductTooLarge)
     x_labels = tuple((a, b) for a in j1.x_labels for b in j2.x_labels)
     y_labels = tuple((a, b) for a in j1.y_labels for b in j2.y_labels)
     return JointDistribution(x_labels, y_labels, np.kron(j1.pxy, j2.pxy))

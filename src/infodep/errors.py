@@ -3,8 +3,12 @@
 ``ValidationError`` covers everything wrong with user-supplied data (bad
 probabilities, mismatched labels, shapes an operation does not support,
 out-of-range parameters). ``NumericalError`` signals that an internal
-computation failed a consistency check or did not converge. The CLI maps
-these onto distinct exit codes.
+computation failed a consistency check or did not converge.
+
+The exit codes of the ``infodep`` command live here, as each class's
+``exit_code``: 2 for invalid input, 3 for a shape the operation does not
+support (a single-symbol, non-binary or oversized alphabet), 4 for a
+numerical failure.  A subclass inherits its base's code.
 """
 
 __all__ = [
@@ -27,6 +31,7 @@ __all__ = [
     "EpsTooLarge",
     "BadOrder",
     "PEqualsOne",
+    "AlphabetTooLarge",
     "ProductTooLarge",
     "NumericalError",
 ]
@@ -35,9 +40,13 @@ __all__ = [
 class InfodepError(Exception):
     """Base class for all infodep exceptions."""
 
+    exit_code = 4
+
 
 class ValidationError(InfodepError):
     """Invalid input data or parameters."""
+
+    exit_code = 2
 
 
 class ParseError(ValidationError):
@@ -68,9 +77,13 @@ class DegenerateAlphabet(ValidationError):
     """An alphabet has a single symbol, so no correlation witness exists
     (the maximal correlation itself is 0 by convention)."""
 
+    exit_code = 3
+
 
 class NotBinary(ValidationError):
     """The closed form needs at least one binary alphabet."""
+
+    exit_code = 3
 
 
 class ZeroFunction(ValidationError):
@@ -87,6 +100,8 @@ class BoundaryPoint(ValidationError):
 
 class NotBinaryInput(ValidationError):
     """This operation supports binary input alphabets only."""
+
+    exit_code = 3
 
 
 class RTooCloseToP(ValidationError):
@@ -109,7 +124,13 @@ class PEqualsOne(ValidationError):
     """The Hoelder conjugate of 1 is undefined."""
 
 
-class ProductTooLarge(ValidationError):
+class AlphabetTooLarge(ValidationError):
+    """An alphabet exceeds the supported size."""
+
+    exit_code = 3
+
+
+class ProductTooLarge(AlphabetTooLarge):
     """A product alphabet exceeds the supported size."""
 
 

@@ -33,6 +33,11 @@ evaluated at every iterate, so the estimate stays a witness-backed lower
 bound; the mix changes only which g are tried, and it needs 3-4x fewer
 sweeps than the plain iteration over a q* bisection.
 
+The q_star bisection probes no q below the floor 1 + rho^2 (p - 1), which
+no point of the ribbon lies under (Ahlswede & Gacs 1976): just below q* the
+gap opens only at second order, so a probe there could read "in".  On the
+binary symmetric channel the floor is q* itself (Bonami 1970; Beckner 1975).
+
 :func:`in_ribbon` (and with it the q_star bisection) needs only whether the
 gap exceeds its tolerance.  The gap is a running maximum over sweeps, so a
 probe stops at the first sweep whose gap is above the tolerance: the
@@ -54,7 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import JointDistribution
-from .errors import BadOrder, PEqualsOne, ValidationError
+from .errors import BadOrder, DegenerateAlphabet, PEqualsOne, ValidationError
+from .spectral import maximal_correlation
 
 __all__ = [
     "QStarCurve",
@@ -248,9 +254,12 @@ def q_star(j: JointDistribution, p: float, tol: float = QSTAR_TOL, seed: int = 0
     """The boundary exponent: smallest q in [1, p] with the contraction holding.
 
     Bisection on q; the bracket needs no evaluation at its ends because q = p
-    always lies in the ribbon (conditional Jensen) and the q = 1 end is
-    probed once: when (p, 1 + tol) already holds, the result is exactly 1.
-    p must lie in [1, ``QSTAR_MAX_P``].
+    always lies in the ribbon (conditional Jensen), and a midpoint below the
+    floor 1 + rho^2 (p - 1) moves ``lo`` without a probe (Ahlswede & Gacs
+    1976: linearize at g = 1 + eps h; see the module docstring).  When the
+    floor is within ``tol`` of 1, the q = 1 end is probed once: if
+    (p, 1 + tol) already holds, the result is exactly 1.  A single-symbol
+    alphabet counts as rho = 0.  p must lie in [1, ``QSTAR_MAX_P``].
     """
     p, tol = float(p), float(tol)
     if not 1.0 <= p <= QSTAR_MAX_P:
@@ -259,14 +268,19 @@ def q_star(j: JointDistribution, p: float, tol: float = QSTAR_TOL, seed: int = 0
         raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
     if p - 1.0 < 1e-12 or p - 1.0 <= tol:
         return 1.0
-    if in_ribbon(j, p, 1.0 + tol, seed):
+    try:
+        rho = maximal_correlation(j).rho
+    except DegenerateAlphabet:
+        rho = 0.0
+    floor = 1.0 + rho * rho * (p - 1.0)
+    if floor <= 1.0 + tol and in_ribbon(j, p, 1.0 + tol, seed):
         return 1.0
     lo, hi = 1.0, p
     for _ in range(QSTAR_MAX_BISECT):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if in_ribbon(j, p, mid, seed):
+        if mid >= floor and in_ribbon(j, p, mid, seed):
             hi = mid
         else:
             lo = mid

@@ -56,6 +56,9 @@ __all__ = [
 
 #: default grid resolution (number of intervals) for envelope work
 ENVELOPE_GRID_N = 2**12
+#: the most grid intervals envelope work accepts: its arrays hold a few
+#: floats per interval and output symbol
+MAX_GRID_N = 2**20
 #: default gap tolerance, in bits, for declaring an envelope touch
 TOUCH_TOL = 1e-12
 #: intervals of the P(X=0) grid that scan_inputs sweeps
@@ -194,8 +197,8 @@ def _entropy_grid(c: Channel, grid_n: int) -> tuple[np.ndarray, np.ndarray, np.n
             f"1-D envelope needs |X| = 2, got |X| = {len(c.x_labels)}"
         )
     grid_n = int(grid_n)
-    if grid_n < 64:
-        raise ValidationError(f"grid_n must be at least 64, got {grid_n}")
+    if not 64 <= grid_n <= MAX_GRID_N:
+        raise ValidationError(f"grid_n must be in [64, {MAX_GRID_N}], got {grid_n}")
     p0 = np.linspace(0.0, 1.0, grid_n + 1)
     R = np.column_stack([p0, 1.0 - p0])
     return p0, _entr(R @ c.pyx).sum(axis=1), _entr(R).sum(axis=1)

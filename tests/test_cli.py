@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import infodep
-from infodep import builtin, sstar
-from infodep.cli import main
+from infodep import builtin, errors, sstar
+from infodep.cli import RIBBON_MAX_STEPS, main
+from infodep.distributions import MAX_ALPHABET
 from infodep.sstar import MAX_RESTARTS
+from infodep.tcurve import MAX_GRID_N
 
 
 def run(capsys, *argv):
@@ -209,6 +211,13 @@ class TestTcurve:
         code, out, err = run(capsys, "tcurve", "fig2", "--lambda", "1.5")
         assert code == 2
 
+    def test_grid_above_limit_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "tcurve", "fig2", "--lambda", "0.5", "--grid", str(MAX_GRID_N + 1)
+        )
+        assert code == 2
+        assert out == "" and "grid_n" in err
+
     def test_wide_input_exits_3(self, capsys, tmp_path):
         path = tmp_path / "wide.json"
         path.write_text(
@@ -289,6 +298,17 @@ class TestRibbon:
         code, out, err = run(capsys, "ribbon", "fig2", "--steps", "1")
         assert code == 2
 
+    def test_steps_above_limit_refused_before_any_q_star(self, capsys, monkeypatch):
+        def no_curve(*args, **kwargs):
+            raise AssertionError("a q* curve was computed")
+
+        monkeypatch.setattr("infodep.cli.q_star_curve", no_curve)
+        code, out, err = run(
+            capsys, "ribbon", "fig2", "--steps", str(RIBBON_MAX_STEPS + 1)
+        )
+        assert code == 2
+        assert out == "" and "--steps" in err
+
 
 class TestTensor:
     def test_product_with_independent_keeps_measures(self, capsys):
@@ -320,6 +340,56 @@ class TestTensor:
         code, out, err = run(capsys, "tensor", str(path), str(path))
         assert code == 3
         assert "64" in err
+
+
+class TestContract:
+    def test_package_exports_each_module_list_once(self):
+        modules = ("catalog", "distributions", "errors", "ribbon", "spectral",
+                   "sstar", "tcurve")
+        expected = ["__version__"]
+        for name in modules:
+            expected += sys.modules[f"infodep.{name}"].__all__
+        assert infodep.__all__ == expected
+        assert len(set(expected)) == len(expected)
+        for name in expected:
+            assert hasattr(infodep, name), name
+        assert callable(infodep.sstar)
+
+    @pytest.mark.parametrize("name", errors.__all__)
+    def test_exit_code_of_each_error(self, name):
+        # the README: 2 malformed input or bad arguments, 3 unsupported
+        # shape, 4 numerical failure
+        shape = {"DegenerateAlphabet", "NotBinary", "NotBinaryInput",
+                 "AlphabetTooLarge", "ProductTooLarge"}
+        cls = getattr(errors, name)
+        if name in shape:
+            expected = 3
+        elif issubclass(cls, errors.ValidationError):
+            expected = 2
+        else:
+            expected = 4
+        assert cls.exit_code == expected
+
+    def test_numerical_error_exits_4(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise errors.NumericalError("the routes disagree")
+
+        monkeypatch.setattr("infodep.cli.sstar", fail)
+        code, out, err = run(capsys, "measures", "fig2")
+        assert code == 4
+        assert err == "error: the routes disagree\n"
+
+    def test_oversized_alphabet_exits_3(self, capsys, tmp_path):
+        n = MAX_ALPHABET + 1
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "x_labels": list(range(2)),
+            "y_labels": list(range(n)),
+            "pxy": np.full((2, n), 1.0 / (2 * n)).tolist(),
+        }))
+        code, out, err = run(capsys, "ribbon", str(path))
+        assert code == 3
+        assert err.startswith("error:") and f"2x{n}" in err
 
 
 class TestNumpyOnly:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from infodep import (
+    AlphabetTooLarge,
     Channel,
     JointDistribution,
     LabelMismatch,
@@ -15,6 +16,7 @@ from infodep import (
     NegativeEntry,
     PMF,
     ParseError,
+    ProductTooLarge,
     SumNotOne,
     SupportViolation,
     ValidationError,
@@ -32,7 +34,7 @@ from infodep import (
     push_forward,
     transpose,
 )
-from infodep.distributions import _entr, _kl_terms
+from infodep.distributions import MAX_ALPHABET, _entr, _kl_terms
 from conftest import random_joint
 
 FIG2_MI_BITS = 0.5954372523105548
@@ -119,6 +121,27 @@ class TestJointAndChannel:
         inp = PMF((0, 1), np.array([0.5, 0.5]))
         with pytest.raises(ValidationError, match="non-finite"):
             Channel((0, 1), (0, 1), [[math.nan, 1.0], [0.5, 0.5]], inp)
+
+    @pytest.mark.parametrize(
+        "nx, ny", [(MAX_ALPHABET + 1, 2), (2, MAX_ALPHABET + 1)]
+    )
+    def test_oversized_alphabet_refused_before_reading_the_matrix(self, nx, ny):
+        class Unread:
+            def __array__(self, *args, **kwargs):
+                raise AssertionError("the matrix was read")
+
+        inp = PMF(range(nx), np.full(nx, 1.0 / nx))
+        for build in (
+            lambda: JointDistribution(range(nx), range(ny), Unread()),
+            lambda: Channel(range(nx), range(ny), Unread(), inp),
+        ):
+            with pytest.raises(AlphabetTooLarge, match=f"{nx}x{ny}"):
+                build()
+
+    def test_largest_alphabet_accepted(self):
+        n = MAX_ALPHABET
+        j = joint_from_matrix(np.full((n, n), 1.0 / n**2), range(n), range(n))
+        assert channel_of(j).pyx.shape == (n, n)
 
     def test_channel_rejects_label_mismatch(self):
         inp = PMF(("u", "v"), np.array([0.5, 0.5]))
@@ -294,6 +317,22 @@ class TestMutualInformation:
 
 
 class TestProduct:
+    @pytest.mark.parametrize("shapes", [((9, 2), (8, 2)), ((2, 9), (2, 8))])
+    def test_oversized_product_refused_before_kron(self, shapes, monkeypatch):
+        def no_kron(*args):
+            raise AssertionError("the product matrix was built")
+
+        (n1, m1), (n2, m2) = shapes
+        j1 = joint_from_matrix(np.full((n1, m1), 1.0 / (n1 * m1)), range(n1), range(m1))
+        j2 = joint_from_matrix(np.full((n2, m2), 1.0 / (n2 * m2)), range(n2), range(m2))
+        monkeypatch.setattr(np, "kron", no_kron)
+        with pytest.raises(ProductTooLarge, match="product alphabets .* 64-symbol limit"):
+            product(j1, j2)
+
+    def test_product_of_largest_size_accepted(self):
+        j = joint_from_matrix(np.full((8, 8), 1.0 / 64), range(8), range(8))
+        assert product(j, j).shape == (64, 64)
+
     def test_marginal_factorization(self, fig2, remark3):
         prod = product(fig2, remark3)
         assert prod.shape == (4, 6)

@@ -392,6 +392,28 @@ class TestQStar:
     def test_fig2_at_two(self, fig2):
         assert q_star(fig2, 2.0) == pytest.approx(1.600769, abs=2e-3)
 
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 0.4])
+    @pytest.mark.parametrize("p", [4.0, 16.0, 32.0, 128.0])
+    def test_bsc_meets_bonami_beckner(self, eps, p):
+        # Bonami 1970, Beckner 1975: with a uniform input, (p, q) is
+        # hypercontractive exactly when q - 1 >= (1 - 2 eps)^2 (p - 1)
+        exact = 1.0 + (1.0 - 2.0 * eps) ** 2 * (p - 1.0)
+        assert abs(q_star(builtin(f"bsc:{eps}"), p) - exact) <= QSTAR_TOL
+
+    def test_floor_holds_where_the_gap_opens_late(self):
+        # s*(X;Y) is close to rho^2 here: a probe just below q* reads "in"
+        j = random_joint(np.random.default_rng(2057433282), 3, 2)
+        p = 25.18
+        floor = 1.0 + maximal_correlation(j).rho ** 2 * (p - 1.0)
+        assert q_star(j, p) >= floor
+
+    @pytest.mark.parametrize(
+        "table, shape", [([[0.2, 0.3, 0.5]], (1, 3)), ([[0.2], [0.3], [0.5]], (3, 1))]
+    )
+    def test_single_symbol_alphabet_collapses(self, table, shape):
+        j = joint_from_matrix(table, range(shape[0]), range(shape[1]))
+        assert q_star(j, 4.0) == 1.0
+
     def test_within_bounds_random(self):
         rng = np.random.default_rng(83)
         j = random_joint(rng, 2, 2)
@@ -413,11 +435,9 @@ class TestQStarProperties:
     """q*(p) between the rho^2 slope floor and the diagonal, derandomized so
     that tier-1 draws the same examples on every run.
 
-    The floor binds the true q*; the estimate is a lower one, and where
-    s*(X;Y) is close to rho^2 the gap just below q* stays under GAP_TOL, so
-    the estimate can fall under the floor by more than QSTAR_TOL (1 of 200
-    random draws: seed 2057433282, 3x2, p = 25.18, 1.8e-4 under).  These
-    examples do not reach such a joint."""
+    The floor binds the true q*, and the bisection probes no q below it, so
+    only the q = 1 + tol probe could put the estimate under it, by at most
+    QSTAR_TOL."""
 
     @settings(derandomize=True, max_examples=12, deadline=None)
     @given(**_JOINT_AND_ORDER)

@@ -29,6 +29,7 @@ from infodep import (
 from conftest import random_joint
 from infodep import tcurve
 from infodep.tcurve import (
+    MAX_GRID_N,
     _bracket,
     _entropy_grid,
     _hull_vertices,
@@ -209,6 +210,20 @@ class TestLowerEnvelope:
         c = channel_of(fig2)
         with pytest.raises(ValidationError):
             lower_envelope_1d(c, 0.5, grid_n=32)
+
+    def test_oversized_grid_refused_before_any_array(self, fig2, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        c = channel_of(fig2)
+        monkeypatch.setattr(np, "linspace", no_grid)
+        for call in (
+            lambda: lower_envelope_1d(c, 0.5, MAX_GRID_N + 1),
+            lambda: touches_envelope(c, 0.5, grid_n=MAX_GRID_N + 1),
+            lambda: lambda_dagger(c, MAX_GRID_N + 1),
+        ):
+            with pytest.raises(ValidationError, match="grid_n"):
+                call()
 
     def test_rejects_wide_input(self):
         rng = np.random.default_rng(2)
