@@ -52,7 +52,7 @@ from .tcurve import ENVELOPE_GRID_N, lambda_dagger, lower_envelope_1d
 
 __all__ = ["ReportDocument", "main", "entry"]
 
-#: the most rows ``infodep ribbon --steps`` takes, one q* bisection each
+#: the most rows ``infodep ribbon --steps`` takes, one q* each
 RIBBON_MAX_STEPS = 256
 
 #: the (P(U=1|X=0), P(U=1|X=1)) pairs of the built-in counterexample table:

@@ -30,20 +30,30 @@ renormalized to ||g||_q = 1, and a column takes the plain step T(x_k) where
 the 2x2 least-squares problem is near singular or the mixed column is not
 finite.  Every iterate is therefore still a feasible g, and the gap is
 evaluated at every iterate, so the estimate stays a witness-backed lower
-bound; the mix changes only which g are tried, and it needs 3-4x fewer
-sweeps than the plain iteration over a q* bisection.
+bound; the mix changes only which g are tried.
 
-The q_star bisection probes no q below the floor 1 + rho^2 (p - 1), which
-no point of the ribbon lies under (Ahlswede & Gacs 1976): just below q* the
-gap opens only at second order, so a probe there could read "in".  On the
-binary symmetric channel the floor is q* itself (Bonami 1970; Beckner 1975).
+q_star climbs on witness crossings in the manner of Dinkelbach (1967), the
+scheme lambda_dagger also uses.  For a fixed g >= 0, ||g||_q is
+nondecreasing in q, so a g with ||E[g|X]||_p > ||g||_q violates every
+(p, q') with q' below its crossing q_g, where ||g||_q_g = ||E[g|X]||_p:
+q* >= q_g, and q_g <= p by conditional Jensen.  From the floor
+1 + rho^2 (p - 1), under which no point of the ribbon lies (Ahlswede &
+Gacs 1976), q_star runs the sweeps at q_k, warm-started from the columns of
+q_(k-1), and a few sweeps after the first column whose gap exceeds
+``_WITNESS_GAP`` it moves to the largest crossing of those columns.  Where
+the moves shrink only linearly, the runs between them grow (see
+``_CRAWL_RATIO``).  It stops at the first q whose sweeps end, by
+convergence or by the cap, with no such column, so every answer above the
+floor is the crossing of an explicit g.  Just below q* the gap opens only at
+second order, so a 1e-9 test (``GAP_TOL``) there still reads "in": the
+witness threshold sits far below it, at 1e-12.  On the binary symmetric
+channel the floor is q* itself (Bonami 1970; Beckner 1975).
 
-:func:`in_ribbon` (and with it the q_star bisection) needs only whether the
-gap exceeds its tolerance.  The gap is a running maximum over sweeps, so a
-probe stops at the first sweep whose gap is above the tolerance: the
-remaining sweeps could only raise it, and the answer is exactly the one the
-full :func:`contraction_gap` run gives.  Probes outside the ribbon usually
-cross in one or two sweeps.
+:func:`in_ribbon` needs only whether the gap exceeds its tolerance.  The
+gap is a running maximum over sweeps, so a probe stops at the first sweep
+whose gap is above the tolerance: the remaining sweeps could only raise it,
+and the answer is exactly the one the full :func:`contraction_gap` run
+gives.  Probes outside the ribbon usually cross in one or two sweeps.
 
 A sweep's arrays hold about |X|·|Y|·290 entries, so numpy's overhead per
 call sets its cost: reductions call ``ufunc.reduce`` directly, not through
@@ -82,12 +92,13 @@ GAP_MAX_ITER = 300
 GAP_CONV_TOL = 1e-12
 #: a gap at most this large counts as "the inequality holds"
 GAP_TOL = 1e-9
-#: default absolute tolerance on q in the q_star bisection
+#: q_star's default ``tol``, which does not set the accuracy of its answer:
+#: where the floor is within tol of 1, q_star starts at q = 1 + tol and
+#: returns exactly 1 if no witness turns up there, and p within tol of 1
+#: gives 1 at once
 QSTAR_TOL = 1e-4
-#: hard cap on bisection iterations
-QSTAR_MAX_BISECT = 60
-#: the largest p q_star accepts: above it the bisection's answers drift
-#: (fig2's chordal slope reads 0.2585 at p = 1e9, below rho^2 = 0.6)
+#: the largest p q_star accepts: far above it the sweeps lose the gap to
+#: rounding (fig2's chordal slope read 0.2585 at p = 1e9, below rho^2 = 0.6)
 QSTAR_MAX_P = 128.0
 #: the clamp on a non-finite slice maximum in the log-sum-exp shift
 _FMAX = np.finfo(float).max
@@ -95,6 +106,23 @@ _FMAX = np.finfo(float).max
 #: of a00 * a11, the squared sine of the angle between the two residual
 #: differences; the determinant's own rounding is a few ulps of a00 * a11
 _MIX_MIN_DET = 1e-12
+#: a column whose gap exceeds this witnesses q* above the q of its sweeps;
+#: 1e4 ulps of the norm near 1 that it is read from
+_WITNESS_GAP = 1e-12
+#: sweeps run after the first witness before q_star's first move to a
+#: crossing: two more let the Anderson mix engage, while with none or one the
+#: outer steps crawl (hundreds per q* on the ribbon benchmark's inputs)
+_WITNESS_EXTRA = 2
+#: a move longer than this share of the one before is a crawl, and doubles
+#: the sweeps that the next run takes after its first witness
+_CRAWL_RATIO = 0.25
+#: cap on q_star's outer steps (at most 6 on the ribbon benchmark's inputs,
+#: and 9 on 145 flat- and sparse-Dirichlet joints up to 7x11)
+_QSTAR_MAX_STEPS = 100
+#: cap on the bracketing steps of one crossing solve
+_CROSSING_MAX_ITER = 60
+#: a crossing bracket this many ulps wide is closed
+_CROSSING_ULPS = 2.0
 
 
 @dataclass(frozen=True)
@@ -131,6 +159,59 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.add(total, top.squeeze(axis), out=total)
 
 
+def _kernel(j: JointDistribution) -> tuple[np.ndarray, ...]:
+    """log W(y|x), log B(x|y), log p(x) and log p(y) of ``j``, the arrays
+    every sweep reads."""
+    px, py = j.px, j.py
+    with np.errstate(divide="ignore"):
+        logW = np.log(j.pxy / px[:, None])
+        logB = np.log(j.pxy / py[None, :])
+    return logW, logB, np.log(px), np.log(py)
+
+
+def _seed_columns(ny: int, seed: int) -> np.ndarray:
+    """The multistart columns of log g, not yet normalized: every
+    coordinate indicator, the constant, and Dirichlet draws seeded with
+    ``seed``, 288 of them when |Y| <= 8 and ``GAP_RESTARTS`` otherwise."""
+    rng = np.random.default_rng(seed)
+    cols = [np.full((ny, ny), -np.inf), np.zeros((ny, 1))]
+    np.fill_diagonal(cols[0], 0.0)
+    n_seeds = 288 if ny <= 8 else GAP_RESTARTS
+    cols.append(np.log(rng.dirichlet(np.ones(ny), size=n_seeds).T))
+    return np.concatenate(cols, axis=1)
+
+
+def _sweeps(kernel, p: float, q: float, logG: np.ndarray):
+    """Yield each iterate of the Anderson-mixed fixed-point map at (p, q)
+    from the columns ``logG``, normalized to ||g||_q = 1, with its
+    log ||E[g|X]||_p per column.
+
+    The iteration stops once the map moves log g by less than
+    ``GAP_CONV_TOL`` or after ``GAP_MAX_ITER`` iterates.  Callers run it
+    under ``np.errstate(all="ignore")``; 1 < q <= p.
+    """
+    logW, logB, logpx, logpy = kernel
+    pm1, qm1 = p - 1.0, q - 1.0
+    logW3, logB3 = logW[:, :, None], logB[:, :, None]
+    logpx2, logpy2 = logpx[:, None], logpy[:, None]
+
+    def normalize(lg: np.ndarray) -> np.ndarray:
+        return lg - _logsumexp(logpy2 + q * lg, axis=0) / q
+
+    hist: list[tuple[np.ndarray, np.ndarray]] = []  # (T(x), f) of the last sweeps
+    logG = normalize(logG)
+    for _ in range(GAP_MAX_ITER):
+        log_tg = _logsumexp(logW3 + logG, axis=1)
+        yield logG, _logsumexp(logpx2 + p * log_tg, axis=0) / p
+        logm = _logsumexp(logB3 + pm1 * log_tg[:, None, :], axis=0)
+        new = normalize(logm / qm1)
+        f = new - logG
+        if np.fmax.reduce(np.abs(f), None) < GAP_CONV_TOL:
+            return
+        hist = hist[-2:] + [(new, f)]
+        logG = _anderson_step(hist, normalize) if len(hist) == 3 else new
+
+
 def _gap(
     j: JointDistribution, p: float, q: float, stop_above: float, seed: int
 ) -> tuple[float, int]:
@@ -142,52 +223,23 @@ def _gap(
     q = 1 cases run no sweep.
     """
     p, q = _check_orders(p, q)
-    nx, ny = j.shape
-    px, py = j.px, j.py
-    with np.errstate(divide="ignore"):
-        logW = np.log(j.pxy / px[:, None])
-        logB = np.log(j.pxy / py[None, :])
-    logpx, logpy = np.log(px), np.log(py)
-
     if p - 1.0 < 1e-12:
         return 0.0, 0
+    kernel = _kernel(j)
     if q - 1.0 < 1e-12:
+        logW, _, logpx, logpy = kernel
         with np.errstate(invalid="ignore"):
             log_tg = logW - logpy[None, :]
             log_norms = _logsumexp(logpx[:, None] + p * log_tg, axis=0) / p
         return float(max(np.max(np.expm1(log_norms)), 0.0)), 0
 
-    rng = np.random.default_rng(seed)
-    cols = [np.full((ny, ny), -np.inf), np.zeros((ny, 1))]
-    np.fill_diagonal(cols[0], 0.0)
-    n_seeds = 288 if ny <= 8 else GAP_RESTARTS
-    cols.append(np.log(rng.dirichlet(np.ones(ny), size=n_seeds).T))
-    logG = np.concatenate(cols, axis=1)
-
-    pm1, qm1 = p - 1.0, q - 1.0
-    logW3, logB3 = logW[:, :, None], logB[:, :, None]
-    logpx2, logpy2 = logpx[:, None], logpy[:, None]
-
-    def normalize(lg: np.ndarray) -> np.ndarray:
-        return lg - _logsumexp(logpy2 + q * lg, axis=0) / q
-
     best_log = -np.inf
-    hist: list[tuple[np.ndarray, np.ndarray]] = []  # (T(x), f) of the last sweeps
     with np.errstate(all="ignore"):
-        logG = normalize(logG)
-        for sweeps in range(1, GAP_MAX_ITER + 1):
-            log_tg = _logsumexp(logW3 + logG, axis=1)
-            log_norms = _logsumexp(logpx2 + p * log_tg, axis=0) / p
+        logG = _seed_columns(j.shape[1], seed)
+        for sweeps, (_, log_norms) in enumerate(_sweeps(kernel, p, q, logG), 1):
             best_log = max(best_log, float(np.maximum.reduce(log_norms)))
             if np.expm1(best_log) > stop_above:
                 break
-            logm = _logsumexp(logB3 + pm1 * log_tg[:, None, :], axis=0)
-            new = normalize(logm / qm1)
-            f = new - logG
-            if np.fmax.reduce(np.abs(f), None) < GAP_CONV_TOL:
-                break
-            hist = hist[-2:] + [(new, f)]
-            logG = _anderson_step(hist, normalize) if len(hist) == 3 else new
     return float(max(np.expm1(best_log), 0.0)), sweeps
 
 
@@ -245,46 +297,129 @@ def in_ribbon(j: JointDistribution, p: float, q: float, seed: int = 0) -> bool:
 
     The sweeps stop at the first one whose gap exceeds ``GAP_TOL``; the
     answer is the one the full contraction_gap run with the same ``seed``
-    gives.
+    gives.  Just inside q* a gap under ``GAP_TOL`` can still be a violation
+    (see the module docstring), so q_star does not probe with it.
     """
     return _gap(j, p, q, GAP_TOL, seed)[0] <= GAP_TOL
 
 
-def q_star(j: JointDistribution, p: float, tol: float = QSTAR_TOL, seed: int = 0) -> float:
-    """The boundary exponent: smallest q in [1, p] with the contraction holding.
+def _crossing(
+    logG: np.ndarray, log_norms: np.ndarray, logpy: np.ndarray, lo: float, hi: float
+) -> tuple[float, int]:
+    """The largest crossing among the columns of log g, and its column.
 
-    Bisection on q; the bracket needs no evaluation at its ends because q = p
-    always lies in the ribbon (conditional Jensen), and a midpoint below the
-    floor 1 + rho^2 (p - 1) moves ``lo`` without a probe (Ahlswede & Gacs
-    1976: linearize at g = 1 + eps h; see the module docstring).  When the
-    floor is within ``tol`` of 1, the q = 1 end is probed once: if
-    (p, 1 + tol) already holds, the result is exactly 1.  A single-symbol
-    alphabet counts as rho = 0.  p must lie in [1, ``QSTAR_MAX_P``].
+    A column's crossing is the q in [lo, hi] where log ||g||_q reaches its
+    log ||E[g|X]||_p, ``log_norms``.  With K(q) = log E[g^q], it is the root
+    of the convex f(q) = K(q) - q log_norms, which is below 0 at ``lo`` for
+    a witness.  Newton steps from the right end of a bracket stay at or
+    above the root and chords stay at or below it, so every left end keeps
+    f <= 0 and the column witnesses q* >= it.  A column whose right end
+    falls below the best left end cannot win and is dropped; a bracket
+    closes at ``_CROSSING_ULPS`` ulps or when neither step moves it.  A
+    column with f(hi) <= 0 crosses at ``hi``.  Callers run it under
+    ``np.errstate(all="ignore")``.
     """
+    lgz = np.where(logG > -np.inf, logG, 0.0)
+    logpy2 = logpy[:, None]
+
+    def f_and_slope(q: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        terms = logpy2 + q * logG[:, cols]
+        k = _logsumexp(terms, axis=0)
+        w = np.exp(terms - k)
+        return k - q * log_norms[cols], np.add.reduce(w * lgz[:, cols], 0) - log_norms[cols]
+
+    live = np.arange(log_norms.shape[0])
+    a, b = np.full(live.size, lo), np.full(live.size, hi)
+    fa, _ = f_and_slope(a, live)
+    fb, db = f_and_slope(b, live)
+    if np.logical_or.reduce(fb <= 0.0):
+        return hi, int(np.argmax(fb <= 0.0))
+    for _ in range(_CROSSING_MAX_ITER):
+        live = live[(b[live] - a[live] > _CROSSING_ULPS * np.spacing(b[live]))
+                    & (b[live] > a.max())]
+        if live.size == 0:
+            break
+        al, bl = a[live], b[live]
+        newton = bl - fb[live] / db[live]
+        chord = al - fa[live] * (bl - al) / (fb[live] - fa[live])
+        for x in (newton, chord):
+            x = np.minimum(np.maximum(x, a[live]), b[live])
+            fx, dx = f_and_slope(x, live)
+            left = (fx <= 0.0) & (x > a[live])
+            a[live[left]], fa[live[left]] = x[left], fx[left]
+            right = (fx > 0.0) & (x < b[live])
+            b[live[right]], fb[live[right]], db[live[right]] = x[right], fx[right], dx[right]
+        live = live[(a[live] > al) | (b[live] < bl)]
+    best = int(np.argmax(a))
+    return float(a[best]), best
+
+
+def _q_star(
+    j: JointDistribution, p: float, tol: float, seed: int
+) -> tuple[float, np.ndarray | None, int, int]:
+    """q_star, the column of log g whose crossing it is (None at the exact
+    1.0 and at the floor), the outer steps and the sweeps run in total."""
     p, tol = float(p), float(tol)
     if not 1.0 <= p <= QSTAR_MAX_P:
         raise ValidationError(f"p must be in [1, {QSTAR_MAX_P:g}], got {p!r}")
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
     if p - 1.0 < 1e-12 or p - 1.0 <= tol:
-        return 1.0
+        return 1.0, None, 0, 0
     try:
         rho = maximal_correlation(j).rho
     except DegenerateAlphabet:
         rho = 0.0
     floor = 1.0 + rho * rho * (p - 1.0)
-    if floor <= 1.0 + tol and in_ribbon(j, p, 1.0 + tol, seed):
-        return 1.0
-    lo, hi = 1.0, p
-    for _ in range(QSTAR_MAX_BISECT):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid >= floor and in_ribbon(j, p, mid, seed):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    q = max(floor, 1.0 + tol)
+    kernel = _kernel(j)
+    log_above = math.log1p(_WITNESS_GAP)
+    witness, steps, total = None, 0, 0
+    extra, last_move = _WITNESS_EXTRA, math.inf
+    with np.errstate(all="ignore"):
+        logG = _seed_columns(j.shape[1], seed)
+        while steps < _QSTAR_MAX_STEPS:
+            steps += 1
+            found, first = None, None
+            for sweep, (logG, log_norms) in enumerate(_sweeps(kernel, p, q, logG)):
+                above = log_norms > log_above
+                if np.logical_or.reduce(above):
+                    found = logG[:, above], log_norms[above]
+                    first = sweep if first is None else first
+                if first is not None and sweep - first >= extra:
+                    break
+            total += sweep + 1
+            if found is None:
+                break
+            cross, best = _crossing(*found, kernel[3], q, p)
+            if cross <= q:
+                break
+            if cross - q > _CRAWL_RATIO * last_move:
+                extra *= 2
+            q, witness, last_move = cross, found[0][:, best], cross - q
+            if q >= p:
+                break
+    if witness is None:
+        q = 1.0 if floor <= 1.0 + tol else floor
+    return q, witness, steps, total
+
+
+def q_star(j: JointDistribution, p: float, tol: float = QSTAR_TOL, seed: int = 0) -> float:
+    """The boundary exponent: smallest q in [1, p] with the contraction holding.
+
+    An ascent on witness crossings from the floor 1 + rho^2 (p - 1) (see the
+    module docstring).  The result is the crossing q of an explicit g, which
+    violates every (p, q') with q' < q, so it is a lower estimate of q*.
+    Unless the cap of 100 outer steps ended the climb, the sweeps at q found
+    no column with a gap above 1e-12.  With no witness at the start, the
+    result is the floor, or exactly 1 when the floor is within ``tol`` of 1
+    (the start is then q = 1 + tol).  That, and the result 1 for p within
+    ``tol`` of 1, is all ``tol`` does: the climb stops on the 1e-12 witness
+    test, not on a step length, so a smaller ``tol`` does not refine the
+    result.  The Dirichlet seed columns come from ``seed``.  A single-symbol
+    alphabet counts as rho = 0.  p must lie in [1, ``QSTAR_MAX_P``].
+    """
+    return _q_star(j, p, tol, seed)[0]
 
 
 def q_star_curve(

@@ -31,12 +31,13 @@ from infodep.ribbon import (
     GAP_MAX_ITER,
     GAP_RESTARTS,
     GAP_TOL,
-    QSTAR_MAX_BISECT,
     QSTAR_MAX_P,
     QSTAR_TOL,
     _anderson_step,
+    _crossing,
     _gap,
     _logsumexp,
+    _q_star,
 )
 from conftest import random_independent, random_joint
 
@@ -167,11 +168,13 @@ class TestEarlyExit:
 
     @staticmethod
     def _reference_q_star(j, p):
-        """q_star's bisection, with every probe a full contraction_gap run."""
+        """The bisection q_star ran before its witness crossings, with every
+        probe a full contraction_gap run: the upper end of a QSTAR_TOL
+        bracket."""
         if contraction_gap(j, p, 1.0 + QSTAR_TOL) <= GAP_TOL:
             return 1.0
         lo, hi = 1.0, p
-        for _ in range(QSTAR_MAX_BISECT):
+        for _ in range(60):
             if hi - lo <= QSTAR_TOL:
                 break
             mid = 0.5 * (lo + hi)
@@ -182,9 +185,9 @@ class TestEarlyExit:
         return hi
 
     @pytest.mark.parametrize("name, p", [("fig2", 2.0), ("remark3", 4.0)])
-    def test_q_star_equals_full_gap_bisection(self, name, p):
+    def test_q_star_agrees_with_full_gap_bisection(self, name, p):
         j = builtin(name)
-        assert q_star(j, p) == self._reference_q_star(j, p)
+        assert abs(q_star(j, p) - self._reference_q_star(j, p)) <= QSTAR_TOL
 
 
 class TestSweepCount:
@@ -243,9 +246,22 @@ def _plain_gap(j, p: float, q: float) -> tuple[float, int]:
     return max(float(np.expm1(best)), 0.0), sweeps
 
 
+#: q*(p) at p = 1.5, 4, 32 and 128 as the bisection q_star used to run gave
+#: it, with its defaults (the upper end of a QSTAR_TOL bracket)
+_BISECTION_QSTAR = {
+    "fig2": ("0x1.4d4cp+0", "0x1.66cap+1", "0x1.44a15p+4", "0x1.43a3708p+6"),
+    "remark3": ("0x1.03a8p+0", "0x1.14b2p+0", "0x1.26dep+1", "0x1.aca1fep+2"),
+    "identity": ("0x1.8p+0", "0x1.0p+2", "0x1.0p+5", "0x1.0p+7"),
+    "seeded 3x3": ("0x1.5bp+0", "0x1.8f14p+1", "0x1.7084ep+4", "0x1.6d54074p+6"),
+    "seeded 2x9": ("0x1.449p+0", "0x1.496fp+1", "0x1.136dap+4", "0x1.0dc0af4p+6"),
+}
+
+
 class TestPlainSweepCrossCheck:
     """The Anderson-mixed sweeps against the plain sweeps they replaced, on
     a q grid and on the probes just inside q*(p), where the gap is smallest.
+    The probes sit below the q* of the bisection q_star used to run
+    (``_BISECTION_QSTAR``), so they stay fixed when q_star changes.
 
     Every iterate of the mix is a feasible g, so a witness the plain sweep
     finds must not be lost.  Where the plain sweep converged, both routes
@@ -258,8 +274,8 @@ class TestPlainSweepCrossCheck:
     @pytest.mark.parametrize("name", list(_ribbon_cases()))
     def test_mix_keeps_every_plain_witness(self, name):
         j = _ribbon_cases()[name]
-        for p in (1.5, 4.0, 32.0, 128.0):
-            near = q_star(j, p) - 10.0 ** -np.arange(3.0, 8.0)
+        for p, at in zip((1.5, 4.0, 32.0, 128.0), _BISECTION_QSTAR[name]):
+            near = float.fromhex(at) - 10.0 ** -np.arange(3.0, 8.0)
             for q in np.concatenate([np.linspace(1.0, p, 7)[1:], near[near > 1.0]]):
                 ref, ran = _plain_gap(j, p, q)
                 gap = contraction_gap(j, p, q)
@@ -407,6 +423,13 @@ class TestQStar:
         floor = 1.0 + maximal_correlation(j).rho ** 2 * (p - 1.0)
         assert q_star(j, p) >= floor
 
+    def test_reaches_the_witness_above_the_floor(self):
+        # the same joint: a g with gap 1.9e-10 (60 digits) at q = 5.7815050,
+        # where the bisection stopped 1.2e-6 above the floor 5.7815038,
+        # crosses at q = 5.78166, so q* is at least that
+        j = random_joint(np.random.default_rng(2057433282), 3, 2)
+        assert q_star(j, 25.18) >= 5.78165
+
     @pytest.mark.parametrize(
         "table, shape", [([[0.2, 0.3, 0.5]], (1, 3)), ([[0.2], [0.3], [0.5]], (3, 1))]
     )
@@ -422,6 +445,89 @@ class TestQStar:
             assert 1.0 <= q <= p
 
 
+def _linear_norms(j, log_g, p: float, q: float) -> tuple[float, float]:
+    """||E[g(Y)|X]||_p and ||g(Y)||_q of g = exp(log_g), scaled to max 1,
+    each sum a math.fsum in linear space."""
+    g = np.exp(log_g - np.max(log_g))
+    W = j.pxy / j.px[:, None]
+    tg = [math.fsum(row * g) for row in W]
+    lhs = math.fsum(px * t**p for px, t in zip(j.px, tg)) ** (1.0 / p)
+    return lhs, math.fsum(j.py * g**q) ** (1.0 / q)
+
+
+def _log_q_norm(log_g, py, q: float) -> float:
+    """log ||g||_q under py, as one math.fsum in linear space."""
+    top = max(log_g)
+    return top + math.log(math.fsum(w * math.exp(q * (x - top)) for w, x in zip(py, log_g))) / q
+
+
+class TestCrossing:
+    """_crossing against a plain bisection of each column's crossing."""
+
+    @staticmethod
+    def _columns():
+        rng = np.random.default_rng(7)
+        py = rng.dirichlet(np.ones(4))
+        logG = rng.normal(size=(4, 6))
+        logG[2, 1] = -np.inf  # g(y) = 0
+        logG[:, 5] = [-np.inf, 0.0, -np.inf, -np.inf]  # an indicator
+        lo, hi = 1.5, 9.0
+        # a log ||E[g|X]||_p between the column's norms at lo and hi
+        at = rng.uniform(0.1, 0.9, size=6)
+        norms = [(1 - t) * _log_q_norm(c, py, lo) + t * _log_q_norm(c, py, hi)
+                 for t, c in zip(at, logG.T)]
+        return logG, np.array(norms), py, lo, hi
+
+    @staticmethod
+    def _bisect(log_g, py, norm, lo, hi):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if _log_q_norm(log_g, py, mid) <= norm:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    @pytest.mark.parametrize("drop", [[], [0, 2, 3]])
+    def test_largest_crossing_and_its_column(self, drop):
+        logG, norms, py, lo, hi = self._columns()
+        keep = [c for c in range(logG.shape[1]) if c not in drop]
+        logG, norms = logG[:, keep], norms[keep]
+        ref = [self._bisect(c, py, n, lo, hi) for c, n in zip(logG.T, norms)]
+        with np.errstate(all="ignore"):
+            q, col = _crossing(logG, norms, np.log(py), lo, hi)
+        assert col == int(np.argmax(ref))
+        assert abs(q - max(ref)) <= 1e-12 * q
+        # the left end of the bracket: g still witnesses q* >= q
+        assert _log_q_norm(logG[:, col], py, q) <= norms[col] + 1e-15
+
+    def test_column_beyond_hi_crosses_at_hi(self):
+        logG, norms, py, lo, hi = self._columns()
+        norms[3] = _log_q_norm(logG[:, 3], py, hi) + 1e-9
+        with np.errstate(all="ignore"):
+            assert _crossing(logG, norms, np.log(py), lo, hi) == (hi, 3)
+
+
+class TestQStarWitness:
+    """q_star is the crossing of the g that _q_star returns: at q*,
+    ||g||_q = ||E[g|X]||_p, and just below it ||g||_q is smaller, so g
+    violates every (p, q) with q < q* and the estimate is a lower bound."""
+
+    @pytest.mark.parametrize("p", [1.5, 4.0, 32.0])
+    @pytest.mark.parametrize("name", ["fig2", "remark3", "seeded 3x3"])
+    def test_answer_is_the_crossing_of_its_witness(self, name, p):
+        j = _ribbon_cases()[name]
+        q, log_g, steps, sweeps = _q_star(j, p, QSTAR_TOL, 0)
+        assert q == q_star(j, p) and 1 <= steps <= sweeps
+        lhs, rhs = _linear_norms(j, log_g, p, q)
+        assert abs(lhs / rhs - 1.0) <= 1e-12, (lhs, rhs)
+        assert lhs > _linear_norms(j, log_g, p, q - 1e-6)[1]
+
+    def test_exact_one_has_no_witness(self, independent):
+        assert _q_star(independent, 4.0, QSTAR_TOL, 0)[:2] == (1.0, None)
+        assert _q_star(builtin("fig2"), 1.0, QSTAR_TOL, 0) == (1.0, None, 0, 0)
+
+
 #: a seeded 2x2 to 3x3 Dirichlet joint and an order p in [1.2, 32]
 _JOINT_AND_ORDER = dict(
     seed=st.integers(0, 2**32 - 1),
@@ -435,16 +541,19 @@ class TestQStarProperties:
     """q*(p) between the rho^2 slope floor and the diagonal, derandomized so
     that tier-1 draws the same examples on every run.
 
-    The floor binds the true q*, and the bisection probes no q below it, so
-    only the q = 1 + tol probe could put the estimate under it, by at most
-    QSTAR_TOL."""
+    The floor binds the true q*, and q_star starts at it and only moves up,
+    so only the exact 1.0 it returns when the floor is within QSTAR_TOL of 1
+    lies under it."""
 
     @settings(derandomize=True, max_examples=12, deadline=None)
     @given(**_JOINT_AND_ORDER)
     def test_between_slope_floor_and_diagonal(self, seed, nx, ny, p):
         j = random_joint(np.random.default_rng(seed), nx, ny)
-        rho2 = maximal_correlation(j).rho ** 2
-        assert 1.0 + rho2 * (p - 1.0) - QSTAR_TOL <= q_star(j, p) <= p
+        rho = maximal_correlation(j).rho
+        floor = 1.0 + rho * rho * (p - 1.0)
+        q = q_star(j, p)
+        assert q <= p
+        assert q >= floor or (q == 1.0 and floor <= 1.0 + QSTAR_TOL)
 
     @settings(derandomize=True, max_examples=12, deadline=None)
     @given(**_JOINT_AND_ORDER)
