@@ -9,7 +9,8 @@ smallest admissible q, and the chordal slope (q*(p) - 1)/(p - 1) carries the
 dependence information: it tends to s*(X;Y) as p grows and to s*(Y;X) as
 p drops to 1.  Maximal correlation lower-bounds every slope.
 
-Runtime: about 0.5 s on a 2-vCPU x86-64 VM, import included.  Each boundary
+Runtime: about 0.5 s on a 2-vCPU x86-64 VM, import included; the eleven q*
+take a quarter to a third of it under cProfile.  Each boundary
 point is a climb on witness crossings: fixed-point sweeps at q look for a g
 with ||E[g|X]||_p > ||g||_q, and q moves up to where that g's two norms
 meet, until the sweeps find no such g.

@@ -21,13 +21,17 @@ iteration is a fixed point of the first-order stationarity map
 run entirely in log space so p as large as ``QSTAR_MAX_P`` = 128 cannot
 overflow.
 
-Near q* that map contracts at 0.96-1.0 per sweep, so each seed column of
-log g is accelerated by a two-term Anderson mix (Walker & Ni 2011): with T
-the normalized map and f = T(x) - x, the next iterate is T(x_k) minus the
-combination of the last two differences of T(x) whose matching
-combination of the differences of f best cancels f_k.  The mixed column is
-renormalized to ||g||_q = 1, and a column takes the plain step T(x_k) where
-the 2x2 least-squares problem is near singular or the mixed column is not
+Near the constant g that map contracts at rho^2 (p - 1)/(q - 1) per sweep,
+which is 1 at q = 1 + rho^2 (p - 1) and 0.994 at q*(4) of remark3, so each
+seed column of log g is accelerated by a two-term Anderson mix (Walker & Ni
+2011): with T the normalized map and f = T(x) - x, the next iterate is
+T(x_k) minus the combination of the last two differences of T(x) whose
+matching combination of the differences of f best cancels f_k.  Where the
+two differences of f are near parallel, as always on a binary Y alphabet,
+whose normalized columns lie on a curve, the column drops the older one and
+takes the one-term (secant) mix on the latest.  The mixed column is
+renormalized to ||g||_q = 1, and a column takes the plain step T(x_k) only
+where its latest difference of f is zero or the mixed column is not
 finite.  Every iterate is therefore still a feasible g, and the gap is
 evaluated at every iterate, so the estimate stays a witness-backed lower
 bound; the mix changes only which g are tried.
@@ -102,9 +106,10 @@ QSTAR_TOL = 1e-4
 QSTAR_MAX_P = 128.0
 #: the clamp on a non-finite slice maximum in the log-sum-exp shift
 _FMAX = np.finfo(float).max
-#: the Anderson mix is used only where the 2x2 determinant exceeds this share
-#: of a00 * a11, the squared sine of the angle between the two residual
-#: differences; the determinant's own rounding is a few ulps of a00 * a11
+#: the two-term Anderson mix is used only where the 2x2 determinant exceeds
+#: this share of a00 * a11, the squared sine of the angle between the two
+#: residual differences, and the one-term mix elsewhere; the determinant's
+#: own rounding is a few ulps of a00 * a11
 _MIX_MIN_DET = 1e-12
 #: a column whose gap exceeds this witnesses q* above the q of its sweeps;
 #: 1e4 ulps of the norm near 1 that it is read from
@@ -250,18 +255,24 @@ def _anderson_step(hist, normalize) -> np.ndarray:
     dT_i and df_i the last two differences of T(x) and of f, the next
     iterate is T(x_k) - g0 dT0 - g1 dT1, where (g0, g1) minimizes
     |f_k - g0 df0 - g1 df1| through the 2x2 normal equations, renormalized
-    to ||g||_q = 1.  A column keeps the plain step T(x_k) where the
-    determinant is not above ``_MIX_MIN_DET`` * a00 * a11 (so no 0/0 is
-    ever formed) or the mixed column is not finite.
+    to ||g||_q = 1.  A column whose determinant is not above
+    ``_MIX_MIN_DET`` * a00 * a11 drops df0 and takes the one-term mix
+    T(x_k) - g1 dT1 with g1 = <df1, f_k> / <df1, df1>.  A column keeps the
+    plain step T(x_k) where <df1, df1> is 0 (so no 0/0 is ever formed) or
+    the mixed column is not finite.
     """
     (t0, f0), (t1, f1), (t2, f2) = hist
     d = np.array((f1 - f0, f2 - f1, f2))
     (a00, a01, b0), (_, a11, b1) = np.einsum("iyc,jyc->ijc", d[:2], d)
     det = a00 * a11 - a01 * a01
     ok = det > _MIX_MIN_DET * (a00 * a11)
-    if not ok.any():
-        return t2
-    det[~ok] = np.inf
+    if not ok.all():
+        # the one-term mix on df1: with (a00, a01, b0) = (1, 0, 0) the same
+        # formulas give det = a11, g0 = 0 and g1 = b1 / a11
+        one = ~ok
+        a00[one], a01[one], b0[one], det[one] = 1.0, 0.0, 0.0, a11[one]
+        ok = det > 0.0
+        det[~ok] = np.inf
     g0 = (a11 * b0 - a01 * b1) / det
     g1 = (a00 * b1 - a01 * b0) / det
     mixed = normalize(t2 - g0 * (t1 - t0) - g1 * (t2 - t1))
@@ -277,8 +288,9 @@ def contraction_gap(j: JointDistribution, p: float, q: float, seed: int = 0) -> 
     it is a lower bound on the true supremum (see module docstring).  The
     Dirichlet seeds, 288 of them when |Y| <= 8 and ``GAP_RESTARTS`` = 32
     otherwise, are drawn from a generator seeded with ``seed``.  Each sweep
-    applies the fixed-point map to every seed column and then a two-term
-    Anderson mix of the column's last iterates, renormalized to
+    applies the fixed-point map to every seed column and then an Anderson
+    mix of the column's last iterates, two-term or, where the residual
+    differences are parallel, one-term, renormalized to
     ||g||_q = 1; the gap is the largest seen at any iterate, and since every
     iterate is a feasible g it stays a lower bound.  The sweeps stop once the
     map moves log g by less than ``GAP_CONV_TOL`` or after ``GAP_MAX_ITER``

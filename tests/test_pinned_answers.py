@@ -156,8 +156,8 @@ RIBBON_PINNED = {
     ("seeded 3x3", 1.5, None): "0x1.5afededd04b8cp+0",
     ("seeded 3x3", 4.0, None): "0x1.8f11d14272a05p+1",
     ("seeded 3x3", 32.0, None): "0x1.7084d890e9382p+4",
-    ("seeded 2x9", 1.5, None): "0x1.448d8223d23b1p+0",
-    ("seeded 2x9", 4.0, None): "0x1.496eacb3d8c48p+1",
+    ("seeded 2x9", 1.5, None): "0x1.448d8223d23b3p+0",
+    ("seeded 2x9", 4.0, None): "0x1.496eacb3deea2p+1",
     ("fig2", 2.0, 1.5): "0x1.0fe5ef6f6fe2cp-6",
     ("fig2", 4.0, 1.0): "0x1.5d13f32b5a75cp-1",
     ("fig2", 128.0, 64.0): "0x1.77c8c86136dfap-10",

@@ -191,12 +191,17 @@ class TestEarlyExit:
 
 
 class TestSweepCount:
-    """_gap also returns the sweeps it ran, so a probe that ends at the
-    GAP_MAX_ITER cap without converging shows.  The counts were recorded
-    when the Anderson mix replaced the plain sweep update, which ran 1, 122
-    and 300 sweeps at q = 1.25, 1.375 and 1.3125 (the last now converges
-    after 21); q = 1.302734375, 7.9e-4 above q*(1.5), still ends at the
-    cap."""
+    """_gap and _q_star also return the sweeps they ran, so a run that ends
+    at the GAP_MAX_ITER cap without converging shows.  The fig2 probes at
+    p = 1.5 were recorded when the Anderson mix replaced the plain sweep
+    update, which ran 1, 122 and 300 sweeps at q = 1.25, 1.375 and 1.3125
+    (the last now converges after 21); q = 1.302734375, 7.9e-4 above
+    q*(1.5), still ends at the cap, on a |Y| = 3 column that wanders.
+
+    On a binary Y alphabet the two residual differences of a column are
+    parallel, so every column takes the one-term mix.  When a column that
+    failed the 2x2 test took the plain step instead, q*(remark3, 4) ran 269
+    sweeps and the fig2 probe at (128, 80) ended at the cap."""
 
     @pytest.mark.parametrize(
         "q, sweeps",
@@ -207,6 +212,10 @@ class TestSweepCount:
         gap, ran = _gap(fig2, 1.5, q, GAP_TOL, 0)
         assert ran == sweeps
         assert (gap > GAP_TOL) == (q == 1.25)
+
+    def test_binary_alphabet_converges(self, fig2, remark3):
+        assert _q_star(remark3, 4.0, QSTAR_TOL, 0)[3] == 18
+        assert _gap(fig2, 128.0, 80.0, np.inf, 0)[1] == 26
 
     def test_exact_cases_run_no_sweep(self, fig2):
         assert _gap(fig2, 1.0, 1.0, GAP_TOL, 0) == (0.0, 0)
@@ -292,38 +301,68 @@ class TestPlainSweepCrossCheck:
 
 
 class TestMixGuard:
-    """Columns whose residual differences are zero, parallel or not finite
-    take the plain step; no floating-point warning escapes the sweeps."""
+    """A column whose two residual differences are parallel takes the
+    one-term (secant) mix on its latest difference; only a column whose
+    latest difference is zero, or whose mix is not finite, takes the plain
+    step.  No floating-point warning escapes the sweeps."""
 
     @staticmethod
     def _history():
         rng = np.random.default_rng(5)
-        t0, t1, t2, f0, f1, f2 = (rng.normal(size=(3, 4)) for _ in range(6))
-        f1[:, 0] = f0[:, 0]  # a zero difference
+        t0, t1, t2, f0, f1, f2 = (rng.normal(size=(3, 5)) for _ in range(6))
+        f1[:, 0] = f2[:, 0] = f0[:, 0]  # both differences zero
         f2[:, 1] = 3.0 * f1[:, 1] - 2.0 * f0[:, 1]  # parallel differences
+        f1[:, 2] = f0[:, 2]  # a zero first difference, parallel to any
         return [(t0, f0), (t1, f1), (t2, f2)]
 
     @staticmethod
     def _normalize(lg):
         return lg - _logsumexp(lg, axis=0)
 
-    def test_singular_columns_take_the_plain_step(self):
+    def _one_term(self, hist, c):
+        """The secant mix of column c on its latest difference pair."""
+        (t1, f1), (t2, f2) = ((t[:, c], f[:, c]) for t, f in hist[1:])
+        df = f2 - f1
+        gamma = np.dot(df, f2) / np.dot(df, df)
+        return self._normalize((t2 - gamma * (t2 - t1))[:, None])[:, 0]
+
+    def test_parallel_differences_take_the_one_term_mix(self):
         hist = self._history()
         t2 = hist[2][0]
         with np.errstate(all="raise"):  # a 0/0 or an overflow would raise
             out = _anderson_step(hist, self._normalize)
-        assert np.array_equal(out[:, :2], t2[:, :2])
-        assert np.all(np.isfinite(out[:, 2:]))
-        assert not np.array_equal(out[:, 2:], t2[:, 2:])
+        assert np.array_equal(out[:, 0], t2[:, 0])
+        for c in (1, 2):
+            assert np.allclose(out[:, c], self._one_term(hist, c), rtol=1e-12, atol=1e-12)
+        assert np.all(np.isfinite(out[:, 3:]))
+        assert not np.array_equal(out[:, 3:], t2[:, 3:])
+
+    def test_one_term_mix_solves_a_linear_contraction(self):
+        # x -> a + lam (x - a) on each column: every difference is parallel to
+        # x0 - a, and the secant step lands on the fixed point a
+        rng = np.random.default_rng(7)
+        a = self._normalize(rng.normal(size=(4, 3)))
+        lam = np.array([0.5, 0.9, 0.994])
+        xs = [a + rng.normal(size=(4, 3))]
+        for _ in range(3):
+            xs.append(a + lam * (xs[-1] - a))
+        hist = [(xs[i + 1], xs[i + 1] - xs[i]) for i in range(3)]
+        with np.errstate(all="raise"):
+            out = _anderson_step(hist, self._normalize)
+        # rounding in the differences grows as 1 / (1 - lam)^2 through gamma
+        assert np.all(np.abs(out - a) <= 1e-14 / (1.0 - lam) ** 2)
+        assert not np.allclose(xs[3], a, rtol=0.0, atol=1e-3)
 
     def test_columns_with_zero_entries_take_the_plain_step(self):
         hist = self._history()
         t1, t2 = hist[1][0], hist[2][0]
-        t1[0, 3] = t2[0, 3] = -np.inf  # g(y) = 0 on two sweeps
+        # g(y) = 0 on two sweeps, in a one-term and a two-term column
+        t1[0, [1, 3]] = t2[0, [1, 3]] = -np.inf
         with np.errstate(all="ignore"):
             out = _anderson_step(hist, self._normalize)
         assert np.array_equal(out[:, [0, 1, 3]], t2[:, [0, 1, 3]])
-        assert np.all(np.isfinite(out[:, 2])) and not np.array_equal(out[:, 2], t2[:, 2])
+        assert np.all(np.isfinite(out[:, [2, 4]]))
+        assert not np.array_equal(out[:, [2, 4]], t2[:, [2, 4]])
 
     @pytest.mark.parametrize("name", ["independent", "identity", "fig2"])
     def test_finite_without_warnings(self, name, independent, identity_coupling, fig2):
