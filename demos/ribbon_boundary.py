@@ -47,7 +47,7 @@ print("every slope is at least rho^2; the slope tends to s*(Y;X) as p -> 1 "
       "and to s*(X;Y) as p grows")
 
 # near p = 1 the slope crosses over to the reversed constant s*(Y;X)
-slope_small = chordal_slope(j, 1.01, tol=1e-6)
+slope_small = chordal_slope(j, 1.01)
 print(f"\nslope at p = 1.01 = {slope_small:.6f}  (s*(Y;X) = {s_yx:.6f})")
 
 # an independent pair is hypercontractive everywhere: the boundary collapses

@@ -418,9 +418,4 @@ def load_joint_json(path) -> JointDistribution:
         [_parse_prob(v, f"{path}: pxy[{i}][{k}]") for k, v in enumerate(row)]
         for i, row in enumerate(rows)
     ]
-    try:
-        labels_x = tuple(x_labels)
-        labels_y = tuple(y_labels)
-    except TypeError as exc:
-        raise ParseError(f"{path}: labels must be hashable scalars") from exc
-    return joint_from_matrix(table, labels_x, labels_y)
+    return joint_from_matrix(table, x_labels, y_labels)

@@ -47,11 +47,17 @@ q_(k-1), and a few sweeps after the first column whose gap exceeds
 ``_WITNESS_GAP`` it moves to the largest crossing of those columns.  Where
 the moves shrink only linearly, the runs between them grow (see
 ``_CRAWL_RATIO``).  It stops at the first q whose sweeps end, by
-convergence or by the cap, with no such column, so every answer above the
-floor is the crossing of an explicit g.  Just below q* the gap opens only at
-second order, so a 1e-9 test (``GAP_TOL``) there still reads "in": the
-witness threshold sits far below it, at 1e-12.  On the binary symmetric
-channel the floor is q* itself (Bonami 1970; Beckner 1975).
+convergence or by the cap, with no such column.  So q_star is the larger of
+the floor and the best crossing, and every answer above the floor is the
+crossing of an explicit g.  The climb starts at the floor however close to
+1 it lies; only a floor of exactly 1 (p = 1, rho = 0) or p within 1e-12 of
+1 returns at once.  Near p = 1 + eps a witness's gap shrinks with eps, and
+below about eps = 1e-10 (fig2 and remark3) no column clears the 1e-12
+test, so the chordal slope reads rho^2 there, not s*(Y;X).  Just below
+q* the gap opens only at second order, so a 1e-9 test (``GAP_TOL``) there
+still reads "in": the witness threshold sits far below it, at 1e-12.  On
+the binary symmetric channel the floor is q* itself (Bonami 1970; Beckner
+1975).
 
 :func:`in_ribbon` needs only whether the gap exceeds its tolerance.  The
 gap is a running maximum over sweeps, so a probe stops at the first sweep
@@ -96,11 +102,6 @@ GAP_MAX_ITER = 300
 GAP_CONV_TOL = 1e-12
 #: a gap at most this large counts as "the inequality holds"
 GAP_TOL = 1e-9
-#: q_star's default ``tol``, which does not set the accuracy of its answer:
-#: where the floor is within tol of 1, q_star starts at q = 1 + tol and
-#: returns exactly 1 if no witness turns up there, and p within tol of 1
-#: gives 1 at once
-QSTAR_TOL = 1e-4
 #: the largest p q_star accepts: far above it the sweeps lose the gap to
 #: rounding (fig2's chordal slope read 0.2585 at p = 1e9, below rho^2 = 0.6)
 QSTAR_MAX_P = 128.0
@@ -367,23 +368,20 @@ def _crossing(
 
 
 def _q_star(
-    j: JointDistribution, p: float, tol: float, seed: int
+    j: JointDistribution, p: float, *, seed: int
 ) -> tuple[float, np.ndarray | None, int, int]:
-    """q_star, the column of log g whose crossing it is (None at the exact
-    1.0 and at the floor), the outer steps and the sweeps run in total."""
-    p, tol = float(p), float(tol)
+    """q_star, the column of log g whose crossing it is (None at the
+    floor), the outer steps and the sweeps run in total."""
+    p = float(p)
     if not 1.0 <= p <= QSTAR_MAX_P:
         raise ValidationError(f"p must be in [1, {QSTAR_MAX_P:g}], got {p!r}")
-    if not 0.0 < tol < math.inf:
-        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
-    if p - 1.0 < 1e-12 or p - 1.0 <= tol:
-        return 1.0, None, 0, 0
     try:
         rho = maximal_correlation(j).rho
     except DegenerateAlphabet:
         rho = 0.0
-    floor = 1.0 + rho * rho * (p - 1.0)
-    q = max(floor, 1.0 + tol)
+    q = floor = 1.0 + rho * rho * (p - 1.0)
+    if p - 1.0 < 1e-12 or floor == 1.0:
+        return floor, None, 0, 0
     kernel = _kernel(j)
     log_above = math.log1p(_WITNESS_GAP)
     witness, steps, total = None, 0, 0
@@ -411,63 +409,59 @@ def _q_star(
             q, witness, last_move = cross, found[0][:, best], cross - q
             if q >= p:
                 break
-    if witness is None:
-        q = 1.0 if floor <= 1.0 + tol else floor
     return q, witness, steps, total
 
 
-def q_star(j: JointDistribution, p: float, tol: float = QSTAR_TOL, seed: int = 0) -> float:
+def q_star(j: JointDistribution, p: float, *, seed: int = 0) -> float:
     """The boundary exponent: smallest q in [1, p] with the contraction holding.
 
     An ascent on witness crossings from the floor 1 + rho^2 (p - 1) (see the
-    module docstring).  The result is the crossing q of an explicit g, which
-    violates every (p, q') with q' < q, so it is a lower estimate of q*.
-    Unless the cap of 100 outer steps ended the climb, the sweeps at q found
-    no column with a gap above 1e-12.  With no witness at the start, the
-    result is the floor, or exactly 1 when the floor is within ``tol`` of 1
-    (the start is then q = 1 + tol).  That, and the result 1 for p within
-    ``tol`` of 1, is all ``tol`` does: the climb stops on the 1e-12 witness
-    test, not on a step length, so a smaller ``tol`` does not refine the
-    result.  The Dirichlet seed columns come from ``seed``.  A single-symbol
-    alphabet counts as rho = 0.  p must lie in [1, ``QSTAR_MAX_P``].
+    module docstring): the result is the larger of the floor and the best
+    crossing q of an explicit g, which violates every (p, q') with q' < q,
+    so it is a lower estimate of q* and never below the floor.  Unless the
+    cap of 100 outer steps ended the climb, the sweeps at q found no column
+    with a gap above 1e-12.  The floor is returned without a sweep where it
+    is exactly 1 (p = 1, or rho = 0) or p is within 1e-12 of 1.  The
+    Dirichlet seed columns come from ``seed``.  A single-symbol alphabet
+    counts as rho = 0.  p must lie in [1, ``QSTAR_MAX_P``].
     """
-    return _q_star(j, p, tol, seed)[0]
+    return _q_star(j, p, seed=seed)[0]
 
 
-def q_star_curve(
-    j: JointDistribution, ps, tol: float = QSTAR_TOL, seed: int = 0
-) -> QStarCurve:
+def q_star_curve(j: JointDistribution, ps, *, seed: int = 0) -> QStarCurve:
     """q*(p) and chordal slopes over an increasing sequence of p > 1 values."""
     ps = np.asarray(list(ps), dtype=float)
     if ps.size == 0 or ps.min() <= 1.0 or ps.max() > QSTAR_MAX_P:
         raise ValidationError(f"curve sampling needs p values in (1, {QSTAR_MAX_P:g}]")
     if np.any(np.diff(ps) <= 0.0):
         raise ValidationError("p values must be strictly increasing")
-    qstars = np.array([q_star(j, p, tol, seed) for p in ps])
+    qstars = np.array([q_star(j, p, seed=seed) for p in ps])
     slopes = (qstars - 1.0) / (ps - 1.0)
     for a in (ps, qstars, slopes):
         a.setflags(write=False)
     return QStarCurve(ps, qstars, slopes)
 
 
-def chordal_slope(
-    j: JointDistribution, p: float, tol: float = QSTAR_TOL, seed: int = 0
-) -> float:
+def chordal_slope(j: JointDistribution, p: float, *, seed: int = 0) -> float:
     """(q*(p) - 1)/(p - 1): at least rho^2, and tends to s*(X;Y) as p grows."""
     p = float(p)
     if p <= 1.0:
         raise PEqualsOne(f"chordal slope needs p > 1, got {p!r}")
-    return (q_star(j, p, tol, seed) - 1.0) / (p - 1.0)
+    return (q_star(j, p, seed=seed) - 1.0) / (p - 1.0)
 
 
-def slope_at_one(
-    j: JointDistribution, eps: float, tol: float = QSTAR_TOL, seed: int = 0
-) -> float:
-    """Chordal slope at p = 1 + eps; approaches s*(Y;X) as eps -> 0."""
+def slope_at_one(j: JointDistribution, eps: float, *, seed: int = 0) -> float:
+    """Chordal slope at p = 1 + eps; approaches s*(Y;X) as eps -> 0.
+
+    q_star never returns less than its floor 1 + rho^2 eps, so the slope is
+    never below rho^2 by more than that floor's rounding, 1.1e-16 / eps.
+    Below about eps = 1e-10 (fig2 and remark3) no witness clears q_star's
+    1e-12 gap test, and the slope is the floor's, rho^2.
+    """
     eps = float(eps)
     if not 0.0 < eps <= 0.5:
         raise ValidationError(f"eps must be in (0, 0.5], got {eps!r}")
-    return chordal_slope(j, 1.0 + eps, tol, seed)
+    return chordal_slope(j, 1.0 + eps, seed=seed)
 
 
 def conjugate(p: float) -> float:

@@ -48,6 +48,14 @@ class TestInfo:
         assert code == 0
         assert "mutual_information_bits: 0" in out
 
+    def test_unhashable_labels_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "lists.json"
+        doc = {"x_labels": [[0], [1]], "y_labels": [0, 1], "pxy": [[0.5, 0.0], [0.0, 0.5]]}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "hashable" in err
+
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"x_labels": [0, 1], ')

@@ -2,10 +2,15 @@
 
 import json
 import math
+import tempfile
 from decimal import Decimal, localcontext
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infodep import (
     AlphabetTooLarge,
@@ -29,6 +34,7 @@ from infodep import (
     load_joint_json,
     lp_norm,
     marginals,
+    maximal_correlation,
     mutual_information,
     product,
     push_forward,
@@ -363,6 +369,18 @@ class TestProduct:
         np.testing.assert_allclose(t.pxy, fig2.pxy.T, atol=0)
         assert t.x_labels == fig2.y_labels
 
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nx=st.integers(2, 4), ny=st.integers(2, 4))
+    def test_transpose_is_an_involution_keeping_rho(self, seed, nx, ny):
+        # each construction renormalizes by a sum taken in the transposed
+        # order, so the round trip can move an entry by a few ulps (at most
+        # 3 on 2000 random joints up to 6x6)
+        j = random_joint(np.random.default_rng(seed), nx, ny)
+        back = transpose(transpose(j))
+        assert (back.x_labels, back.y_labels) == (j.x_labels, j.y_labels)
+        assert np.all(np.abs(back.pxy - j.pxy) <= 4.0 * np.spacing(j.pxy))
+        assert abs(maximal_correlation(transpose(j)).rho - maximal_correlation(j).rho) <= 1e-12
+
 
 class TestLpNorm:
     def test_constant_function(self):
@@ -441,6 +459,25 @@ class TestJsonLoading:
             j.pxy, [[1 / 3, 1 / 6, 0.0], [0.0, 0.25, 0.25]], atol=1e-15
         )
         assert j.y_labels == ("0", "E", "1")
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 4), ny=st.integers(1, 4))
+    def test_fraction_strings_read_back_bit_identical(self, seed, nx, ny):
+        counts = np.random.default_rng(seed).integers(1, 60, size=(nx, ny))
+        total = int(counts.sum())
+        doc = {
+            "x_labels": list(range(nx)),
+            "y_labels": [f"y{k}" for k in range(ny)],
+            "pxy": [[f"{int(c)}/{total}" for c in row] for row in counts],
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "j.json"
+            path.write_text(json.dumps(doc))
+            j = load_joint_json(path)
+        fractions = [[Fraction(int(c), total) for c in row] for row in counts]
+        ref = joint_from_matrix(fractions, doc["x_labels"], doc["y_labels"])
+        assert (j.x_labels, j.y_labels) == (ref.x_labels, ref.y_labels)
+        assert j.pxy.tobytes() == ref.pxy.tobytes()
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "j.json"

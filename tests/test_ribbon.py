@@ -32,7 +32,6 @@ from infodep.ribbon import (
     GAP_RESTARTS,
     GAP_TOL,
     QSTAR_MAX_P,
-    QSTAR_TOL,
     _anderson_step,
     _crossing,
     _gap,
@@ -40,6 +39,10 @@ from infodep.ribbon import (
     _q_star,
 )
 from conftest import random_independent, random_joint
+
+#: the accuracy the bisection q_star was run to (the width of its final
+#: bracket), kept as the bound on comparisons with it and with closed forms
+BISECTION_WIDTH = 1e-4
 
 
 class TestContractionGap:
@@ -169,13 +172,13 @@ class TestEarlyExit:
     @staticmethod
     def _reference_q_star(j, p):
         """The bisection q_star ran before its witness crossings, with every
-        probe a full contraction_gap run: the upper end of a QSTAR_TOL
-        bracket."""
-        if contraction_gap(j, p, 1.0 + QSTAR_TOL) <= GAP_TOL:
+        probe a full contraction_gap run: the upper end of a
+        BISECTION_WIDTH bracket."""
+        if contraction_gap(j, p, 1.0 + BISECTION_WIDTH) <= GAP_TOL:
             return 1.0
         lo, hi = 1.0, p
         for _ in range(60):
-            if hi - lo <= QSTAR_TOL:
+            if hi - lo <= BISECTION_WIDTH:
                 break
             mid = 0.5 * (lo + hi)
             if contraction_gap(j, p, mid) <= GAP_TOL:
@@ -187,7 +190,7 @@ class TestEarlyExit:
     @pytest.mark.parametrize("name, p", [("fig2", 2.0), ("remark3", 4.0)])
     def test_q_star_agrees_with_full_gap_bisection(self, name, p):
         j = builtin(name)
-        assert abs(q_star(j, p) - self._reference_q_star(j, p)) <= QSTAR_TOL
+        assert abs(q_star(j, p) - self._reference_q_star(j, p)) <= BISECTION_WIDTH
 
 
 class TestSweepCount:
@@ -214,7 +217,7 @@ class TestSweepCount:
         assert (gap > GAP_TOL) == (q == 1.25)
 
     def test_binary_alphabet_converges(self, fig2, remark3):
-        assert _q_star(remark3, 4.0, QSTAR_TOL, 0)[3] == 18
+        assert _q_star(remark3, 4.0, seed=0)[3] == 18
         assert _gap(fig2, 128.0, 80.0, np.inf, 0)[1] == 26
 
     def test_exact_cases_run_no_sweep(self, fig2):
@@ -256,7 +259,7 @@ def _plain_gap(j, p: float, q: float) -> tuple[float, int]:
 
 
 #: q*(p) at p = 1.5, 4, 32 and 128 as the bisection q_star used to run gave
-#: it, with its defaults (the upper end of a QSTAR_TOL bracket)
+#: it, with its defaults (the upper end of a BISECTION_WIDTH bracket)
 _BISECTION_QSTAR = {
     "fig2": ("0x1.4d4cp+0", "0x1.66cap+1", "0x1.44a15p+4", "0x1.43a3708p+6"),
     "remark3": ("0x1.03a8p+0", "0x1.14b2p+0", "0x1.26dep+1", "0x1.aca1fep+2"),
@@ -411,20 +414,20 @@ class TestQStar:
         with pytest.raises(ValidationError):
             q_star(fig2, 0.9)
 
-    @pytest.mark.parametrize(
-        "p, tol",
-        [
-            (math.nan, QSTAR_TOL),
-            (math.inf, QSTAR_TOL),
-            (2.0, math.nan),
-            (2.0, math.inf),
-            (2.0, -1.0),
-            (2.0, 0.0),
-        ],
-    )
-    def test_non_finite_or_invalid_arguments_rejected(self, fig2, p, tol):
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_or_invalid_arguments_rejected(self, fig2, p):
         with pytest.raises(ValidationError):
-            q_star(fig2, p, tol)
+            q_star(fig2, p)
+
+    def test_seed_is_keyword_only(self, fig2):
+        # a stale positional tol must not silently become a seed
+        for call in (q_star, chordal_slope):
+            with pytest.raises(TypeError):
+                call(fig2, 2.0, 1e-6)
+        with pytest.raises(TypeError):
+            q_star_curve(fig2, (2.0,), 1e-6)
+        with pytest.raises(TypeError):
+            slope_at_one(fig2, 0.01, 1e-6)
 
     def test_p_above_limit_refused_before_any_sweep(self, fig2, monkeypatch):
         def no_sweep(*args):
@@ -453,7 +456,14 @@ class TestQStar:
         # Bonami 1970, Beckner 1975: with a uniform input, (p, q) is
         # hypercontractive exactly when q - 1 >= (1 - 2 eps)^2 (p - 1)
         exact = 1.0 + (1.0 - 2.0 * eps) ** 2 * (p - 1.0)
-        assert abs(q_star(builtin(f"bsc:{eps}"), p) - exact) <= QSTAR_TOL
+        assert abs(q_star(builtin(f"bsc:{eps}"), p) - exact) <= BISECTION_WIDTH
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_bsc_floor_near_one_is_not_rounded_to_one(self, p):
+        # q* - 1 = 4e-6 (p - 1) here: only a climb from the floor itself,
+        # not from some q above it, can return q*
+        exact = 1.0 + (1.0 - 2.0 * 0.499) ** 2 * (p - 1.0)
+        assert abs(q_star(builtin("bsc:0.499"), p) - exact) <= 1e-12
 
     def test_floor_holds_where_the_gap_opens_late(self):
         # s*(X;Y) is close to rho^2 here: a probe just below q* reads "in"
@@ -552,19 +562,29 @@ class TestQStarWitness:
     ||g||_q = ||E[g|X]||_p, and just below it ||g||_q is smaller, so g
     violates every (p, q) with q < q* and the estimate is a lower bound."""
 
-    @pytest.mark.parametrize("p", [1.5, 4.0, 32.0])
-    @pytest.mark.parametrize("name", ["fig2", "remark3", "seeded 3x3"])
-    def test_answer_is_the_crossing_of_its_witness(self, name, p):
+    @staticmethod
+    def _check_witness(name, p):
         j = _ribbon_cases()[name]
-        q, log_g, steps, sweeps = _q_star(j, p, QSTAR_TOL, 0)
+        q, log_g, steps, sweeps = _q_star(j, p, seed=0)
         assert q == q_star(j, p) and 1 <= steps <= sweeps
         lhs, rhs = _linear_norms(j, log_g, p, q)
         assert abs(lhs / rhs - 1.0) <= 1e-12, (lhs, rhs)
         assert lhs > _linear_norms(j, log_g, p, q - 1e-6)[1]
 
+    @pytest.mark.parametrize("p", [1.5, 4.0, 32.0])
+    @pytest.mark.parametrize("name", ["fig2", "remark3", "seeded 3x3"])
+    def test_answer_is_the_crossing_of_its_witness(self, name, p):
+        self._check_witness(name, p)
+
+    @pytest.mark.parametrize("name, p", [("remark3", 1.001), ("fig2", 1.00001)])
+    def test_near_one_answer_is_the_crossing_of_its_witness(self, name, p):
+        # q* - 1 is 3e-5 and 6.3e-6 here, and a witness still clears the
+        # 1e-12 gap test
+        self._check_witness(name, p)
+
     def test_exact_one_has_no_witness(self, independent):
-        assert _q_star(independent, 4.0, QSTAR_TOL, 0)[:2] == (1.0, None)
-        assert _q_star(builtin("fig2"), 1.0, QSTAR_TOL, 0) == (1.0, None, 0, 0)
+        assert _q_star(independent, 4.0, seed=0) == (1.0, None, 0, 0)
+        assert _q_star(builtin("fig2"), 1.0, seed=0) == (1.0, None, 0, 0)
 
 
 #: a seeded 2x2 to 3x3 Dirichlet joint and an order p in [1.2, 32]
@@ -581,18 +601,24 @@ class TestQStarProperties:
     that tier-1 draws the same examples on every run.
 
     The floor binds the true q*, and q_star starts at it and only moves up,
-    so only the exact 1.0 it returns when the floor is within QSTAR_TOL of 1
-    lies under it."""
+    so no answer lies under it, however close to 1 the floor is."""
+
+    @staticmethod
+    def _check_between(seed, nx, ny, p):
+        j = random_joint(np.random.default_rng(seed), nx, ny)
+        rho = maximal_correlation(j).rho
+        floor = 1.0 + rho * rho * (p - 1.0)
+        assert floor <= q_star(j, p) <= p
 
     @settings(derandomize=True, max_examples=12, deadline=None)
     @given(**_JOINT_AND_ORDER)
     def test_between_slope_floor_and_diagonal(self, seed, nx, ny, p):
-        j = random_joint(np.random.default_rng(seed), nx, ny)
-        rho = maximal_correlation(j).rho
-        floor = 1.0 + rho * rho * (p - 1.0)
-        q = q_star(j, p)
-        assert q <= p
-        assert q >= floor or (q == 1.0 and floor <= 1.0 + QSTAR_TOL)
+        self._check_between(seed, nx, ny, p)
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(**{**_JOINT_AND_ORDER, "p": st.floats(1.0, 1.001, exclude_min=True)})
+    def test_between_slope_floor_and_diagonal_near_one(self, seed, nx, ny, p):
+        self._check_between(seed, nx, ny, p)
 
     @settings(derandomize=True, max_examples=12, deadline=None)
     @given(**_JOINT_AND_ORDER)
@@ -638,9 +664,24 @@ class TestSlopes:
             chordal_slope(fig2, 1.0)
 
     def test_slope_at_one_matches_reverse_sstar(self, remark3):
-        slope = slope_at_one(remark3, eps=0.01, tol=1e-6)
+        slope = slope_at_one(remark3, eps=0.01)
         s_yx = sstar(transpose(remark3)).value
         assert slope == pytest.approx(s_yx, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "name, eps",
+        [("fig2", 1e-4), ("fig2", 1e-5), ("fig2", 1e-6),
+         ("remark3", 1e-3), ("remark3", 1e-4), ("remark3", 1e-5)],
+    )
+    def test_slope_near_one_stays_on_reverse_sstar(self, name, eps):
+        # q* - 1 is at most 6.3e-5 here; the slope must neither fall to the
+        # floor nor below it
+        j = builtin(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            slope = slope_at_one(j, eps)
+        assert maximal_correlation(j).rho ** 2 <= slope
+        assert abs(slope - sstar(transpose(j)).value) <= 1e-3
 
     def test_slope_at_one_eps_validation(self, fig2):
         with pytest.raises(ValidationError):

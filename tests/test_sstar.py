@@ -520,6 +520,23 @@ class TestRatioForU:
             checked += 1
 
 
+class TestDataProcessingProperty:
+    """The paper's inequality I(U;Y) <= s* I(U;X) for binary U on random
+    2 x k joints, derandomized so that tier-1 draws the same examples on
+    every run."""
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ny=st.integers(2, 4))
+    def test_binary_u_ratio_below_sstar(self, seed, ny):
+        rng = np.random.default_rng(seed)
+        j = random_joint(rng, 2, ny)
+        a, b = rng.uniform(0.0, 1.0, size=2)
+        while abs(a - b) < 1e-3:
+            a, b = rng.uniform(0.0, 1.0, size=2)
+        stats = ratio_for_u(j, binary_u_from_conditionals(j, a, b))
+        assert stats.ratio <= sstar(j).value + 1e-9
+
+
 class TestBinaryUFromConditionals:
     def test_fig2_posterior(self, fig2):
         u = binary_u_from_conditionals(fig2, 0.1, 0.4)
