@@ -328,8 +328,18 @@ def product(j1: JointDistribution, j2: JointDistribution) -> JointDistribution:
 
 
 def transpose(j: JointDistribution) -> JointDistribution:
-    """The same joint viewed in the other direction (swap the roles of X and Y)."""
-    return JointDistribution(j.y_labels, j.x_labels, j.pxy.T)
+    """The same joint viewed in the other direction (swap the roles of X and Y).
+
+    ``j`` is already valid, so its entries are kept exactly: the constructor
+    would renormalize by a sum taken in the transposed order, which can move
+    an entry by a few ulps, and transpose would not be an involution.
+    """
+    pyx = np.ascontiguousarray(j.pxy.T)
+    pyx.setflags(write=False)
+    t = object.__new__(JointDistribution)
+    for name, value in (("x_labels", j.y_labels), ("y_labels", j.x_labels), ("pxy", pyx)):
+        object.__setattr__(t, name, value)
+    return t
 
 
 def lp_norm(values, weights: PMF, p: float) -> float:

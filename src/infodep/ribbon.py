@@ -44,16 +44,19 @@ q* >= q_g, and q_g <= p by conditional Jensen.  From the floor
 1 + rho^2 (p - 1), under which no point of the ribbon lies (Ahlswede &
 Gacs 1976), q_star runs the sweeps at q_k, warm-started from the columns of
 q_(k-1), and a few sweeps after the first column whose gap exceeds
-``_WITNESS_GAP`` it moves to the largest crossing of those columns.  Where
-the moves shrink only linearly, the runs between them grow (see
-``_CRAWL_RATIO``).  It stops at the first q whose sweeps end, by
-convergence or by the cap, with no such column.  So q_star is the larger of
-the floor and the best crossing, and every answer above the floor is the
-crossing of an explicit g.  The climb starts at the floor however close to
-1 it lies; only a floor of exactly 1 (p = 1, rho = 0) or p within 1e-12 of
-1 returns at once.  Near p = 1 + eps a witness's gap shrinks with eps, and
-below about eps = 1e-10 (fig2 and remark3) no column clears the 1e-12
-test, so the chordal slope reads rho^2 there, not s*(Y;X).  Just below
+``_WITNESS_GAP`` it moves to the largest crossing of those columns.  That
+crossing solve starts each column's bracket at the root of the tangent at
+q_k, at or above its crossing, so after one step on every column only the
+likely winner is left, and it closes alone.  Where the moves shrink only
+linearly, the runs between them grow (see ``_CRAWL_RATIO``).  It stops at
+the first q whose sweeps end, by convergence or by the cap, with no such
+column.  So q_star is the larger of the floor and the best crossing, and
+every answer above the floor is the crossing of an explicit g.  The climb
+starts at the floor however close to 1 it lies; only a floor of exactly 1
+(p = 1, rho = 0) or p within 1e-12 of 1 returns at once.  Near
+p = 1 + eps a witness's gap shrinks with eps, and below about eps = 1e-10
+(fig2 and remark3) no column clears the 1e-12 test, so the chordal slope
+reads rho^2 there, not s*(Y;X).  Just below
 q* the gap opens only at second order, so a 1e-9 test (``GAP_TOL``) there
 still reads "in": the witness threshold sits far below it, at 1e-12.  On
 the binary symmetric channel the floor is q* itself (Bonami 1970; Beckner
@@ -127,7 +130,8 @@ _CRAWL_RATIO = 0.25
 _QSTAR_MAX_STEPS = 100
 #: cap on the bracketing steps of one crossing solve
 _CROSSING_MAX_ITER = 60
-#: a crossing bracket this many ulps wide is closed
+#: a crossing bracket this many ulps of q wide, or across which f moves by
+#: this many ulps of its largest term, is closed
 _CROSSING_ULPS = 2.0
 
 
@@ -324,47 +328,69 @@ def _crossing(
     A column's crossing is the q in [lo, hi] where log ||g||_q reaches its
     log ||E[g|X]||_p, ``log_norms``.  With K(q) = log E[g^q], it is the root
     of the convex f(q) = K(q) - q log_norms, which is below 0 at ``lo`` for
-    a witness.  Newton steps from the right end of a bracket stay at or
-    above the root and chords stay at or below it, so every left end keeps
-    f <= 0 and the column witnesses q* >= it.  A column whose right end
-    falls below the best left end cannot win and is dropped; a bracket
-    closes at ``_CROSSING_ULPS`` ulps or when neither step moves it.  A
-    column with f(hi) <= 0 crosses at ``hi``.  Callers run it under
-    ``np.errstate(all="ignore")``.
+    a witness.  The tangent at ``lo`` lies below f, so its root is a right
+    end at or above the crossing, and far closer to it than ``hi``; where
+    the slope at ``lo`` is not positive or the root lies beyond ``hi``, the
+    right end is ``hi``.  A column with f <= 0 at its first right end
+    crosses there: at ``hi``, or at a tangent root within rounding of its
+    crossing.  Each step then takes Newton from the right end, which stays
+    at or above the root, and a chord from the left, which stays at or
+    below it, so every left end keeps f <= 0 and the column witnesses
+    q* >= it.  Near the root the sign of f is rounding noise and both steps
+    can land on an end; Newton then tries one ulp inside the right end and
+    the midpoint takes the chord's place, so every step narrows the
+    bracket.  A column whose right end falls below the best left end cannot
+    win and is dropped, and the arrays are cut to the columns left, so the
+    last one closes alone.  A bracket closes at ``_CROSSING_ULPS`` ulps of
+    q, or where f moves across it by at most ``_CROSSING_ULPS`` ulps of its
+    largest term.  Callers run it under ``np.errstate(all="ignore")``.
     """
-    lgz = np.where(logG > -np.inf, logG, 0.0)
     logpy2 = logpy[:, None]
+    cols = np.arange(log_norms.shape[0])
+    lgz = np.where(logG > -np.inf, logG, 0.0)
 
-    def f_and_slope(q: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        terms = logpy2 + q * logG[:, cols]
-        k = _logsumexp(terms, axis=0)
-        w = np.exp(terms - k)
-        return k - q * log_norms[cols], np.add.reduce(w * lgz[:, cols], 0) - log_norms[cols]
+    def at(q: np.ndarray) -> np.ndarray:
+        # rows q, f, f' and one ulp of f's largest term, on the columns left
+        terms = logpy2 + q * logG
+        top = np.maximum.reduce(terms, 0)
+        e = np.exp(terms - top)
+        total = np.add.reduce(e, 0)
+        k = np.log(total)
+        return np.array((q, k + top - q * log_norms,
+                         np.add.reduce(e * lgz, 0) / total - log_norms,
+                         np.spacing(k + np.abs(top))))
 
-    live = np.arange(log_norms.shape[0])
-    a, b = np.full(live.size, lo), np.full(live.size, hi)
-    fa, _ = f_and_slope(a, live)
-    fb, db = f_and_slope(b, live)
-    if np.logical_or.reduce(fb <= 0.0):
-        return hi, int(np.argmax(fb <= 0.0))
+    def move(x: np.ndarray, left: np.ndarray, right: np.ndarray):
+        # the end on f(x)'s side moves to x where x narrows the bracket
+        new = at(x)
+        return (np.where((new[1] <= 0.0) & (x > left[0]), new, left),
+                np.where((new[1] > 0.0) & (x < right[0]), new, right))
+
+    left = at(np.full(cols.size, lo))
+    tangent = lo - left[1] / left[2]
+    right = at(np.where((left[2] > 0.0) & (tangent < hi), tangent, hi))
+    left = np.where(right[1] <= 0.0, right, left)
+    ends = np.full(cols.size, -np.inf)  # left ends by column, as of the last cut
+    best_a = -np.inf
     for _ in range(_CROSSING_MAX_ITER):
-        live = live[(b[live] - a[live] > _CROSSING_ULPS * np.spacing(b[live]))
-                    & (b[live] > a.max())]
-        if live.size == 0:
-            break
-        al, bl = a[live], b[live]
-        newton = bl - fb[live] / db[live]
-        chord = al - fa[live] * (bl - al) / (fb[live] - fa[live])
-        for x in (newton, chord):
-            x = np.minimum(np.maximum(x, a[live]), b[live])
-            fx, dx = f_and_slope(x, live)
-            left = (fx <= 0.0) & (x > a[live])
-            a[live[left]], fa[live[left]] = x[left], fx[left]
-            right = (fx > 0.0) & (x < b[live])
-            b[live[right]], fb[live[right]], db[live[right]] = x[right], fx[right], dx[right]
-        live = live[(a[live] > al) | (b[live] < bl)]
-    best = int(np.argmax(a))
-    return float(a[best]), best
+        a, (b, _, db, ub) = left[0], right
+        best_a = max(best_a, a.max())
+        width = _CROSSING_ULPS * np.maximum(np.spacing(b), ub / db)
+        live = (b - a > width) & (b > best_a)
+        if not live.all():
+            ends[cols] = a
+            if not live.any():
+                break
+            cols, log_norms, logG, lgz = cols[live], log_norms[live], logG[:, live], lgz[:, live]
+            left, right = left[:, live], right[:, live]
+        a, (b, fb, db, _) = left[0], right
+        left, right = move(np.minimum(np.maximum(b - fb / db, a), np.nextafter(b, a)), left, right)
+        (a, fa), (b, fb) = left[:2], right[:2]
+        chord = a - fa * (b - a) / (fb - fa)
+        left, right = move(np.where((a < chord) & (chord < b), chord, 0.5 * (a + b)), left, right)
+    ends[cols] = left[0]
+    best = int(np.argmax(ends))
+    return float(ends[best]), best
 
 
 def _q_star(

@@ -556,6 +556,84 @@ class TestCrossing:
         with np.errstate(all="ignore"):
             assert _crossing(logG, norms, np.log(py), lo, hi) == (hi, 3)
 
+    @staticmethod
+    def _f_and_slope(log_g, py, norm, q):
+        """f(q) = log E[g^q] - q norm and f'(q), each sum a math.fsum."""
+        top = max(log_g)
+        w = [p * math.exp(q * (x - top)) for p, x in zip(py, log_g)]
+        total = math.fsum(w)
+        slope = math.fsum(wi * x for wi, x in zip(w, log_g) if wi > 0.0) / total
+        return q * top + math.log(total) - q * norm, slope - norm
+
+    def _check_single(self, log_g, py, norm, lo, hi, ncols=1):
+        """_crossing on ``ncols`` copies of one column against its bisection."""
+        ref = self._bisect(log_g, py, norm, lo, hi)
+        assert lo < ref < hi
+        with np.errstate(all="ignore"):
+            q, col = _crossing(np.repeat(log_g[:, None], ncols, axis=1),
+                               np.full(ncols, norm), np.log(py), lo, hi)
+        assert col == 0
+        assert abs(q - ref) <= 1e-12 * q, (q, ref)
+
+    #: a g that is large on one rare symbol: f dips before it rises
+    _PEAKED = np.array([2.0, 0.0, 0.0, 0.0]), np.array([0.01, 0.33, 0.33, 0.33])
+
+    def test_slope_at_lo_not_positive_falls_back_to_hi(self):
+        log_g, py = self._PEAKED
+        lo, hi, norm = 1.5, 9.0, 0.5
+        f, slope = self._f_and_slope(log_g, py, norm, lo)
+        assert f < 0.0 and slope <= 0.0
+        self._check_single(log_g, py, norm, lo, hi)
+
+    def test_tangent_root_beyond_hi_falls_back_to_hi(self):
+        log_g, py = self._PEAKED
+        lo, hi, norm = 1.5, 9.0, 0.32
+        f, slope = self._f_and_slope(log_g, py, norm, lo)
+        assert f < 0.0 and slope > 0.0 and lo - f / slope > hi
+        self._check_single(log_g, py, norm, lo, hi)
+
+    @pytest.mark.parametrize("ncols", [1, 2])
+    def test_near_linear_column_returns_its_crossing(self, ncols):
+        # a g near the constant whose crossing lies just above lo: f is so
+        # near linear there that the tangent at lo, or the first Newton step
+        # from it, lands within rounding of the crossing, where the sign of f
+        # is noise.  A bracket that stops when neither of its steps moves it
+        # returns a left end far short of the crossing there (seeds 2, 3 and
+        # 26), and two identical columns stall together
+        lo, hi = 7.0, 10.0
+        for seed in range(32):
+            rng = np.random.default_rng(seed)
+            py, log_g = rng.dirichlet(np.ones(10)), 0.1 * rng.normal(size=10)
+            for rel in 10.0 ** -np.arange(3.0, 9.0):
+                norm = _log_q_norm(log_g, py, lo * (1.0 + rel))
+                self._check_single(log_g, py, norm, lo, hi, ncols)
+
+    @pytest.mark.parametrize("p", [1.5, 4.0, 32.0])
+    @pytest.mark.parametrize("name", ["fig2", "remark3", "seeded 3x3"])
+    def test_every_crossing_of_a_climb(self, name, p, monkeypatch):
+        j = _ribbon_cases()[name]
+        calls = []
+
+        def record(*args):
+            calls.append((args, _crossing(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr("infodep.ribbon._crossing", record)
+        _q_star(j, p, seed=0)
+        assert calls
+        for (logG, norms, _, lo, hi), (q, col) in calls:
+            # the largest crossing: its column crosses at q, and no column
+            # still lies below its norm just above q
+            ref = self._bisect(logG[:, col], j.py, norms[col], lo, hi)
+            assert abs(q - ref) <= 1e-12 * q, (q, ref)
+            if q < hi:
+                above = q * (1.0 + 1e-12)
+                assert all(_log_q_norm(c, j.py, above) > n for c, n in zip(logG.T, norms))
+            # and its g still witnesses q* >= q: ||g||_q <= ||E[g|X]||_p, to
+            # two ulps of the fsum norms (the most seen is one)
+            lhs, rhs = _linear_norms(j, logG[:, col], p, q)
+            assert rhs <= lhs * (1.0 + 4e-16), (lhs, rhs)
+
 
 class TestQStarWitness:
     """q_star is the crossing of the g that _q_star returns: at q*,
