@@ -20,9 +20,14 @@ iteration is a fixed point of the first-order stationarity map
 
 on columns of log g.  Each column leaves log space shifted by its maximum,
 so E[g|X], its (p - 1) power and that power's mean given Y are matrix
-products on values in [0, 1]: p as large as ``QSTAR_MAX_P`` = 128 cannot
-overflow, and a term that underflows is below 1e-308 of its column's
-largest.
+products on values in [0, 1], and p up to ``QSTAR_MAX_P`` = 128 cannot
+overflow.  If p(x, y) has no zero, each sum keeps a term of at least the
+kernel's least entry, beside which any term under 2.2e-308 rounds away.
+Zeros can leave a sum only such terms: at p = 128, u^(p - 1) is below
+2.2e-308 for u < 3.8e-3 (0 for u < 2.8e-3), so a y whose every x has u that
+low gets a g(y) with few digits or none (a -inf) where log space keeps them
+all.  Such a g(y) is about 2.2e-308^(1/(q - 1)) of its column's largest or
+less, and adds under 1e-308 to both norms.
 
 Near the constant g that map contracts at rho^2 (p - 1)/(q - 1) per sweep,
 which is 1 at q = 1 + rho^2 (p - 1) and 0.994 at q*(4) of remark3, so each
@@ -72,11 +77,10 @@ and the answer is exactly the one the full :func:`contraction_gap` run
 gives.  Probes outside the ribbon usually cross in one or two sweeps.
 
 A sweep's arrays hold |X| or |Y| times about 290 entries, so numpy's
-overhead per call sets its cost: reductions call ``ufunc.reduce`` directly,
-not through the Python wrappers ``np.max`` and ``np.sum``, and one
-``np.errstate`` covers the whole loop.  On fig2 at 292 columns a mixed
-sweep takes about 0.22 ms and a plain one 0.085 ms (one BLAS thread, a
-2-vCPU x86-64 VM).
+overhead per call sets its cost: reductions call ``ufunc.reduce``, not the
+wrappers ``np.max`` and ``np.sum``, and one ``np.errstate`` covers the
+loop.  On fig2 at 292 columns a mixed sweep takes about 0.22 ms and a plain
+one 0.085 ms (one BLAS thread, a 2-vCPU x86-64 VM).
 """
 
 from __future__ import annotations
@@ -157,8 +161,7 @@ def _check_orders(p: float, q: float) -> tuple[float, float]:
 
 
 def _kernel(j: JointDistribution) -> tuple[np.ndarray, ...]:
-    """W(y|x), the transpose of B(x|y), p(x) and p(y) of ``j``, the arrays
-    every sweep reads."""
+    """W(y|x), B(x|y) transposed, p(x) and p(y): the arrays every sweep reads."""
     px, py = j.px, j.py
     return j.pxy / px[:, None], (j.pxy / py[None, :]).T, px, py
 
@@ -406,7 +409,7 @@ def _q_star(
     if p - 1.0 < 1e-12 or floor == 1.0:
         return floor, None, 0, 0
     kernel = _kernel(j)
-    log_above = math.log1p(_WITNESS_GAP)
+    logpy, log_above = np.log(kernel[3]), math.log1p(_WITNESS_GAP)
     witness, steps, total = None, 0, 0
     extra, last_move = _WITNESS_EXTRA, math.inf
     with np.errstate(all="ignore"):
@@ -424,7 +427,7 @@ def _q_star(
             total += sweep + 1
             if found is None:
                 break
-            cross, best = _crossing(*found, np.log(kernel[3]), q, p)
+            cross, best = _crossing(*found, logpy, q, p)
             if cross <= q:
                 break
             if cross - q > _CRAWL_RATIO * last_move:
