@@ -18,69 +18,61 @@ iteration is a fixed point of the first-order stationarity map
 
     g  proportional to  E[ (E[g|X])^(p-1) | Y ] ^ (1/(q-1))
 
-on columns of log g.  Each column leaves log space shifted by its maximum,
-so E[g|X], its (p - 1) power and that power's mean given Y are matrix
-products on values in [0, 1], and p up to ``QSTAR_MAX_P`` = 128 cannot
-overflow.  If p(x, y) has no zero, each sum keeps a term of at least the
-kernel's least entry, beside which any term under 2.2e-308 rounds away.
-Zeros can leave a sum only such terms: at p = 128, u^(p - 1) is below
-2.2e-308 for u < 3.8e-3 (0 for u < 2.8e-3), so a y whose every x has u that
-low gets a g(y) with few digits or none (a -inf) where log space keeps them
-all.  Such a g(y) is about 2.2e-308^(1/(q - 1)) of its column's largest or
-less, and adds under 1e-308 to both norms.
+on columns of log g.  Every norm has one form, on columns shifted out of
+log space by their maximum: E[g|X], its (p - 1) power and that power's mean
+given Y are matrix products on values in [0, 1], and
+log E[g^q] = q top + log(p(y) @ exp(q (log g - top))), with top the
+column's largest log g, normalizes every iterate to ||g||_q = 1 (at q = 1,
+the indicators to the extreme points indicator(y)/p(y)) and gives the
+crossing solve its log E[g^q].  So p up to ``QSTAR_MAX_P`` = 128 cannot
+overflow.  A sum weighted by p(y) keeps its largest g's term, at least the
+least p(y), and with no zero in p(x, y) each sum of the map keeps one of at
+least the kernel's least entry; beside either, a term under 2.2e-308 rounds
+away.  Zeros can leave a sum of the map only such terms: at p = 128,
+u^(p - 1) is below 2.2e-308 for u < 3.8e-3 (0 for u < 2.8e-3), so a y whose
+every x has u that low gets a g(y) with few digits or none (a -inf).  Such
+a g(y) is about 2.2e-308^(1/(q - 1)) of its column's largest or less, and
+adds under 1e-308 to both norms.
 
 Near the constant g that map contracts at rho^2 (p - 1)/(q - 1) per sweep,
 which is 1 at q = 1 + rho^2 (p - 1) and 0.994 at q*(4) of remark3, so each
-seed column of log g is accelerated by a two-term Anderson mix (Walker & Ni
-2011): with T the normalized map and f = T(x) - x, the next iterate is
-T(x_k) minus the combination of the last two differences of T(x) whose
-matching combination of the differences of f best cancels f_k.  Where the
-two differences of f are near parallel, as always on a binary Y alphabet,
-whose normalized columns lie on a curve, the column drops the older one and
-takes the one-term (secant) mix on the latest.  The mixed column is
-renormalized to ||g||_q = 1, and a column takes the plain step T(x_k) only
-where its latest difference of f is zero or the mixed column is not
-finite.  Every iterate is therefore still a feasible g, and the gap is
-evaluated at every iterate, so the estimate stays a witness-backed lower
-bound; the mix changes only which g are tried.
+column takes a two-term Anderson mix (Walker & Ni 2011): with T the
+normalized map and f = T(x) - x, the next iterate is T(x_k) minus the
+combination of the last two differences of T(x) whose matching combination
+of the differences of f best cancels f_k.  Where those differences of f are
+near parallel, as on every binary Y alphabet, the column takes the one-term
+(secant) mix on the latest, and where the latest is zero or the mix is not
+finite, the plain step T(x_k).  The mix is renormalized, so every iterate is
+a feasible g and the gap, read at every iterate, stays a witness-backed
+lower bound; the mix changes only which g are tried.
 
-q_star climbs on witness crossings in the manner of Dinkelbach (1967), the
-scheme lambda_dagger also uses.  For a fixed g >= 0, ||g||_q is
-nondecreasing in q, so a g with ||E[g|X]||_p > ||g||_q violates every
-(p, q') with q' below its crossing q_g, where ||g||_q_g = ||E[g|X]||_p:
-q* >= q_g, and q_g <= p by conditional Jensen.  From the floor
-1 + rho^2 (p - 1), under which no point of the ribbon lies (Ahlswede &
-Gacs 1976), q_star runs the sweeps at q_k, warm-started from the columns of
-q_(k-1), and a few sweeps after the first column whose gap exceeds
-``_WITNESS_GAP`` it moves to the largest crossing of those columns.  That
-crossing solve starts each column's bracket at the root of the tangent at
-q_k, at or above its crossing, so after one step on every column only the
-likely winner is left, and it closes alone.  Where the moves shrink only
-linearly, the runs between them grow (see ``_CRAWL_RATIO``).  It stops at
-the first q whose sweeps end, by convergence or by the cap, with no such
-column.  So q_star is the larger of the floor and the best crossing, and
-every answer above the floor is the crossing of an explicit g.  The climb
-starts at the floor however close to 1 it lies; only a floor of exactly 1
-(p = 1, rho = 0) or p within 1e-12 of 1 returns at once.  Near
-p = 1 + eps a witness's gap shrinks with eps, and below about eps = 1e-10
-(fig2 and remark3) no column clears the 1e-12 test, so the chordal slope
-reads rho^2 there, not s*(Y;X).  Just below
-q* the gap opens only at second order, so a 1e-9 test (``GAP_TOL``) there
-still reads "in": the witness threshold sits far below it, at 1e-12.  On
-the binary symmetric channel the floor is q* itself (Bonami 1970; Beckner
-1975).
+q_star climbs on witness crossings in the manner of Dinkelbach (1967).  For
+a fixed g >= 0, ||g||_q is nondecreasing in q, so a g with
+||E[g|X]||_p > ||g||_q violates every (p, q') with q' below its crossing
+q_g, where the two norms meet: q* >= q_g, and q_g <= p by conditional
+Jensen.  From the floor 1 + rho^2 (p - 1), under which no point of the
+ribbon lies (Ahlswede & Gacs 1976), q_star runs the sweeps at q_k,
+warm-started from the columns of q_(k-1), and a few sweeps after the first
+column whose gap exceeds ``_WITNESS_GAP`` it moves to the largest crossing
+of those columns (see ``_crossing`` and ``_CRAWL_RATIO``).  It stops at the
+first q whose sweeps end, by convergence or by the cap, with no such
+column, so every answer above the floor is the crossing of an explicit g.
+Only a floor of exactly 1 (p = 1, rho = 0) or p within 1e-12 of 1 returns
+at once.  Below about p = 1 + 1e-10 (fig2 and remark3) no column clears the
+1e-12 test, so the chordal slope reads rho^2 there, not s*(Y;X).  Just
+below q* the gap opens only at second order, so a 1e-9 test (``GAP_TOL``)
+there still reads "in": the witness threshold sits far below it.  On the
+binary symmetric channel the floor is q* itself (Bonami 1970; Beckner 1975).
 
-:func:`in_ribbon` needs only whether the gap exceeds its tolerance.  The
-gap is a running maximum over sweeps, so a probe stops at the first sweep
-whose gap is above the tolerance: the remaining sweeps could only raise it,
-and the answer is exactly the one the full :func:`contraction_gap` run
-gives.  Probes outside the ribbon usually cross in one or two sweeps.
+:func:`in_ribbon` stops at the first sweep whose gap, a running maximum,
+exceeds its tolerance: later sweeps could only raise it, so the answer is
+the full :func:`contraction_gap` run's.
 
 A sweep's arrays hold |X| or |Y| times about 290 entries, so numpy's
 overhead per call sets its cost: reductions call ``ufunc.reduce``, not the
 wrappers ``np.max`` and ``np.sum``, and one ``np.errstate`` covers the
-loop.  On fig2 at 292 columns a mixed sweep takes about 0.22 ms and a plain
-one 0.085 ms (one BLAS thread, a 2-vCPU x86-64 VM).
+loop.  On fig2 at 292 columns a mixed sweep takes 0.14-0.18 ms and a plain
+one 0.05-0.09 ms (one BLAS thread, a shared 2-vCPU x86-64 VM).
 """
 
 from __future__ import annotations
@@ -193,9 +185,11 @@ def _sweeps(kernel, p: float, q: float, logG: np.ndarray):
     from the columns ``logG``, normalized to ||g||_q = 1, with its
     log ||E[g|X]||_p per column.
 
+    ``normalize`` scales the start, each image of the map and each mix.
     The iteration stops once the map moves log g by less than
     ``GAP_CONV_TOL`` or after ``GAP_MAX_ITER`` iterates.  Callers run it
-    under ``np.errstate(all="ignore")``; 1 < q <= p.
+    under ``np.errstate(all="ignore")``; 1 <= q <= p, and at q = 1, where
+    the map divides by q - 1, only the first iterate is defined.
     """
     W, Bt, px, py = kernel
     pm1, qm1 = p - 1.0, q - 1.0
@@ -212,8 +206,7 @@ def _sweeps(kernel, p: float, q: float, logG: np.ndarray):
         yield logG, np.log(px @ (up * u)) / p + shift
         # any constant factor of a column of m cancels in the normalization
         m = Bt @ up
-        v = m / np.maximum.reduce(m, 0)
-        new = np.log(v) / qm1 - np.log(py @ v ** (q / qm1)) / q
+        new = normalize(np.log(m / np.maximum.reduce(m, 0)) / qm1)
         f = new - logG
         if np.fmax.reduce(np.abs(f), None) < GAP_CONV_TOL:
             return
@@ -228,24 +221,21 @@ def _gap(
     running gap exceeds ``stop_above``.
 
     The gap only grows over sweeps, so the early return changes the value
-    but never which side of ``stop_above`` it lies on.  The exact p = 1 and
-    q = 1 cases run no sweep.
+    but never which side of ``stop_above`` it lies on.  The exact cases run
+    no sweep: p = 1 gives 0, and q = 1 reads the first iterate of the
+    sweeps from the indicators.
     """
     p, q = _check_orders(p, q)
     if p - 1.0 < 1e-12:
         return 0.0, 0
-    kernel = _kernel(j)
-    if q - 1.0 < 1e-12:
-        W, _, px, py = kernel
-        with np.errstate(divide="ignore"):
-            # the extreme points g = indicator(y) / p(y), one per column
-            u, shift = _conditional(W, np.log(np.diag(1.0 / py)))
-        log_norms = np.log(px @ u**p) / p + shift
-        return float(max(np.max(np.expm1(log_norms)), 0.0)), 0
-
+    kernel, ny = _kernel(j), j.shape[1]
     best_log = -np.inf
     with np.errstate(all="ignore"):
-        logG = _seed_columns(j.shape[1], seed)
+        if q - 1.0 < 1e-12:
+            # the first iterate from the indicators: g = indicator(y) / p(y)
+            _, log_norms = next(_sweeps(kernel, p, 1.0, np.log(np.eye(ny))))
+            return float(max(np.expm1(np.maximum.reduce(log_norms)), 0.0)), 0
+        logG = _seed_columns(ny, seed)
         for sweeps, (_, log_norms) in enumerate(_sweeps(kernel, p, q, logG), 1):
             best_log = max(best_log, float(np.maximum.reduce(log_norms)))
             if np.expm1(best_log) > stop_above:
@@ -303,8 +293,9 @@ def contraction_gap(j: JointDistribution, p: float, q: float, seed: int = 0) -> 
 
     Special cases solved exactly: p = 1 gives 0 (both norms are E[g]); q = 1
     makes the feasible set { g >= 0, E[g] = 1 } with a convex objective, so
-    the maximum sits at an extreme point g = indicator(y)/p(y) and all |Y|
-    of them are evaluated directly.
+    the maximum sits at an extreme point g = indicator(y)/p(y).  All |Y| of
+    them are evaluated at once, as the first iterate of the sweeps from the
+    indicators, which the normalization at q = 1 scales to E[g] = 1.
     """
     return _gap(j, p, q, np.inf, seed)[0]
 
@@ -321,44 +312,46 @@ def in_ribbon(j: JointDistribution, p: float, q: float, seed: int = 0) -> bool:
 
 
 def _crossing(
-    logG: np.ndarray, log_norms: np.ndarray, logpy: np.ndarray, lo: float, hi: float
+    logG: np.ndarray, log_norms: np.ndarray, py: np.ndarray, lo: float, hi: float
 ) -> tuple[float, int]:
     """The largest crossing among the columns of log g, and its column.
 
     A column's crossing is the q in [lo, hi] where log ||g||_q reaches its
-    log ||E[g|X]||_p, ``log_norms``.  With K(q) = log E[g^q], it is the root
-    of the convex f(q) = K(q) - q log_norms, which is below 0 at ``lo`` for
-    a witness.  The tangent at ``lo`` lies below f, so its root is a right
-    end at or above the crossing, and far closer to it than ``hi``; where
-    the slope at ``lo`` is not positive or the root lies beyond ``hi``, the
-    right end is ``hi``.  A column with f <= 0 at its first right end
-    crosses there: at ``hi``, or at a tangent root within rounding of its
-    crossing.  Each step then takes Newton from the right end, which stays
-    at or above the root, and a chord from the left, which stays at or
-    below it, so every left end keeps f <= 0 and the column witnesses
-    q* >= it.  Near the root the sign of f is rounding noise and both steps
-    can land on an end; Newton then tries one ulp inside the right end and
-    the midpoint takes the chord's place, so every step narrows the
-    bracket.  A column whose right end falls below the best left end cannot
-    win and is dropped, and the arrays are cut to the columns left, so the
-    last one closes alone.  A bracket closes at ``_CROSSING_ULPS`` ulps of
-    q, or where f moves across it by at most ``_CROSSING_ULPS`` ulps of its
-    largest term.  Callers run it under ``np.errstate(all="ignore")``.
+    log ||E[g|X]||_p, ``log_norms``.  With K(q) = log E[g^q] under ``py``,
+    it is the root of the convex f(q) = K(q) - q log_norms, which is below
+    0 at ``lo`` for a witness.  K and K' are read off the sweeps' form
+    K(q) = q top + log(py @ exp(q (log g - top))), top the column maximum,
+    and f's rounding is one ulp of |log(py @ ...)| + q |top|.  The tangent
+    at ``lo`` lies below f, so its root is a right end at or above the
+    crossing, and far closer to it than ``hi``; where the slope at ``lo`` is
+    not positive or the root lies beyond ``hi``, the right end is ``hi``.  A
+    column with f <= 0 at its first right end crosses there: at ``hi``, or
+    at a tangent root within rounding of its crossing.  Each step then takes
+    Newton from the right end, which stays at or above the root, and a chord
+    from the left, which stays at or below it, so every left end keeps
+    f <= 0 and the column witnesses q* >= it.  Near the root the sign of f
+    is rounding noise and both steps can land on an end; Newton then tries
+    one ulp inside the right end and the midpoint takes the chord's place,
+    so every step narrows the bracket.  A column whose right end falls below
+    the best left end cannot win and is dropped, and the arrays are cut to
+    the columns left, so the last one closes alone.  A bracket closes at
+    ``_CROSSING_ULPS`` ulps of q, or where f moves across it by at most
+    ``_CROSSING_ULPS`` ulps of its largest term.  Callers run it under
+    ``np.errstate(all="ignore")``.
     """
-    logpy2 = logpy[:, None]
     cols = np.arange(log_norms.shape[0])
-    lgz = np.where(logG > -np.inf, logG, 0.0)
+    top = np.maximum.reduce(logG, 0)
+    lg = logG - top
+    lgz = np.where(lg > -np.inf, lg, 0.0)
+    shift, mag = top - log_norms, np.abs(top)  # f = log(py @ exp(q lg)) + q shift
 
     def at(q: np.ndarray) -> np.ndarray:
         # rows q, f, f' and one ulp of f's largest term, on the columns left
-        terms = logpy2 + q * logG
-        top = np.maximum.reduce(terms, 0)
-        e = np.exp(terms - top)
-        total = np.add.reduce(e, 0)
+        e = np.exp(q * lg)
+        total = py @ e
         k = np.log(total)
-        return np.array((q, k + top - q * log_norms,
-                         np.add.reduce(e * lgz, 0) / total - log_norms,
-                         np.spacing(k + np.abs(top))))
+        return np.array((q, k + q * shift, (py @ (e * lgz)) / total + shift,
+                         np.spacing(np.abs(k) + q * mag)))
 
     def move(x: np.ndarray, left: np.ndarray, right: np.ndarray):
         # the end on f(x)'s side moves to x where x narrows the bracket
@@ -381,7 +374,8 @@ def _crossing(
             ends[cols] = a
             if not live.any():
                 break
-            cols, log_norms, logG, lgz = cols[live], log_norms[live], logG[:, live], lgz[:, live]
+            cols, shift, mag = cols[live], shift[live], mag[live]
+            lg, lgz = lg[:, live], lgz[:, live]
             left, right = left[:, live], right[:, live]
         a, (b, fb, db, _) = left[0], right
         left, right = move(np.minimum(np.maximum(b - fb / db, a), np.nextafter(b, a)), left, right)
@@ -409,7 +403,7 @@ def _q_star(
     if p - 1.0 < 1e-12 or floor == 1.0:
         return floor, None, 0, 0
     kernel = _kernel(j)
-    logpy, log_above = np.log(kernel[3]), math.log1p(_WITNESS_GAP)
+    log_above = math.log1p(_WITNESS_GAP)
     witness, steps, total = None, 0, 0
     extra, last_move = _WITNESS_EXTRA, math.inf
     with np.errstate(all="ignore"):
@@ -427,7 +421,7 @@ def _q_star(
             total += sweep + 1
             if found is None:
                 break
-            cross, best = _crossing(*found, logpy, q, p)
+            cross, best = _crossing(*found, kernel[3], q, p)
             if cross <= q:
                 break
             if cross - q > _CRAWL_RATIO * last_move:
@@ -471,7 +465,7 @@ def q_star_curve(j: JointDistribution, ps, *, seed: int = 0) -> QStarCurve:
 def chordal_slope(j: JointDistribution, p: float, *, seed: int = 0) -> float:
     """(q*(p) - 1)/(p - 1): at least rho^2, and tends to s*(X;Y) as p grows."""
     p = float(p)
-    if p <= 1.0:
+    if p == 1.0:
         raise PEqualsOne(f"chordal slope needs p > 1, got {p!r}")
     return (q_star(j, p, seed=seed) - 1.0) / (p - 1.0)
 

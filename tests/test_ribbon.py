@@ -69,6 +69,21 @@ class TestContractionGap:
         gap = contraction_gap(identity_coupling, 2.0, 1.0)
         assert gap == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "name", ["fig2", "remark3", "identity", "seeded 3x3", "seeded 2x9", "sparse 4x5"]
+    )
+    def test_q_equals_one_branch_matches_fsum(self, name):
+        # at q = 1 the sup sits at an extreme point g = indicator(y) / p(y),
+        # whose E[g|X = x] is p(x, y) / (p(x) p(y)); the most seen is 1.5 ulps
+        j = _sparse_joint() if name == "sparse 4x5" else _ribbon_cases()[name]
+        for p in (1.5, 4.0, 32.0, 128.0):
+            ref = max(
+                math.fsum(px * (pxy / (px * py)) ** p for px, pxy in zip(j.px, col)) ** (1.0 / p)
+                for py, col in zip(j.py, j.pxy.T)
+            ) - 1.0
+            gap = contraction_gap(j, p, 1.0)
+            assert abs(gap - ref) <= 4.0 * np.spacing(1.0 + ref), (p, gap, ref)
+
     def test_p_equals_one_is_zero(self, fig2):
         assert contraction_gap(fig2, 1.0, 1.0) == 0.0
 
@@ -275,18 +290,23 @@ class TestSweepCount:
     update, which ran 1, 122 and 300 sweeps at q = 1.25, 1.375 and 1.3125
     (the last now converges after 21).  q = 1.302734375, 7.9e-4 above
     q*(1.5), is a |Y| = 3 column that wanders: it ended at the cap until
-    the sweep map moved from log-sum-exps to max-shifted products, and now
-    converges after 215 sweeps.  fig2 at (4, 2.8037109375), 7.4e-4 above
-    q*(4), ends at the cap under either form of the map.
+    the sweep map moved from log-sum-exps to max-shifted products, then
+    converged after 215 sweeps, and converges after 285 since the next
+    iterate is normalized by the same expression as every other column of
+    log g, which rounds differently; which sweep ends a wandering column is
+    decided by rounding.  fig2 at (4, 2.8037109375), 7.4e-4 above q*(4),
+    ends at the cap under every form of the map.
 
     On a binary Y alphabet the two residual differences of a column are
     parallel, so every column takes the one-term mix.  When a column that
     failed the 2x2 test took the plain step instead, q*(remark3, 4) ran 269
-    sweeps and the fig2 probe at (128, 80) ended at the cap."""
+    sweeps and the fig2 probe at (128, 80) ended at the cap.  q*(remark3, 4)
+    ran 19 sweeps, and runs 20 since that normalization and the crossing
+    solve's log E[g^q] took the max-shifted form."""
 
     @pytest.mark.parametrize(
         "p, q, sweeps",
-        [(1.5, 1.25, 1), (1.5, 1.375, 13), (1.5, 1.3125, 21), (1.5, 1.302734375, 215),
+        [(1.5, 1.25, 1), (1.5, 1.375, 13), (1.5, 1.3125, 21), (1.5, 1.302734375, 285),
          (4.0, 2.8037109375, GAP_MAX_ITER)],
         ids=["crosses in its first sweep", "converges", "converges near q*", "wanders",
              "ends at the cap"],
@@ -297,7 +317,7 @@ class TestSweepCount:
         assert (gap > GAP_TOL) == (q == 1.25)
 
     def test_binary_alphabet_converges(self, fig2, remark3):
-        assert _q_star(remark3, 4.0, seed=0)[3] == 19
+        assert _q_star(remark3, 4.0, seed=0)[3] == 20
         assert _gap(fig2, 128.0, 80.0, np.inf, 0)[1] == 26
 
     def test_exact_cases_run_no_sweep(self, fig2):
@@ -631,7 +651,7 @@ class TestCrossing:
         logG, norms = logG[:, keep], norms[keep]
         ref = [self._bisect(c, py, n, lo, hi) for c, n in zip(logG.T, norms)]
         with np.errstate(all="ignore"):
-            q, col = _crossing(logG, norms, np.log(py), lo, hi)
+            q, col = _crossing(logG, norms, py, lo, hi)
         assert col == int(np.argmax(ref))
         assert abs(q - max(ref)) <= 1e-12 * q
         # the left end of the bracket: g still witnesses q* >= q
@@ -641,7 +661,7 @@ class TestCrossing:
         logG, norms, py, lo, hi = self._columns()
         norms[3] = _log_q_norm(logG[:, 3], py, hi) + 1e-9
         with np.errstate(all="ignore"):
-            assert _crossing(logG, norms, np.log(py), lo, hi) == (hi, 3)
+            assert _crossing(logG, norms, py, lo, hi) == (hi, 3)
 
     @staticmethod
     def _f_and_slope(log_g, py, norm, q):
@@ -658,7 +678,7 @@ class TestCrossing:
         assert lo < ref < hi
         with np.errstate(all="ignore"):
             q, col = _crossing(np.repeat(log_g[:, None], ncols, axis=1),
-                               np.full(ncols, norm), np.log(py), lo, hi)
+                               np.full(ncols, norm), py, lo, hi)
         assert col == 0
         assert abs(q - ref) <= 1e-12 * q, (q, ref)
 
@@ -694,6 +714,20 @@ class TestCrossing:
             for rel in 10.0 ** -np.arange(3.0, 9.0):
                 norm = _log_q_norm(log_g, py, lo * (1.0 + rel))
                 self._check_single(log_g, py, norm, lo, hi, ncols)
+
+    def test_rare_largest_g_over_a_wide_range(self):
+        # p(y) = 1e-12 at the column's largest g, log g over +-8 and q up to
+        # 128: the term of the largest g, which sets the shift, is not the
+        # largest term of E[g^q] until q is large.  The most seen is 4.8e-15
+        lo, hi = 1.5, 128.0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            log_g, py = rng.uniform(-8.0, 8.0, size=6), rng.dirichlet(np.ones(6))
+            py[np.argmax(log_g)] = 1e-12
+            py /= py.sum()
+            t = rng.uniform(0.1, 0.9)
+            norm = (1 - t) * _log_q_norm(log_g, py, lo) + t * _log_q_norm(log_g, py, hi)
+            self._check_single(log_g, py, norm, lo, hi)
 
     @pytest.mark.parametrize("p", [1.5, 4.0, 32.0])
     @pytest.mark.parametrize("name", ["fig2", "remark3", "seeded 3x3"])
@@ -827,6 +861,13 @@ class TestSlopes:
     def test_chordal_slope_rejects_p_one(self, fig2):
         with pytest.raises(PEqualsOne):
             chordal_slope(fig2, 1.0)
+
+    def test_chordal_slope_below_one_fails_as_q_star_does(self, fig2):
+        # PEqualsOne marks p = 1, whose conjugate is undefined; p < 1 is out of range
+        for call in (q_star, chordal_slope):
+            with pytest.raises(ValidationError) as err:
+                call(fig2, 0.5)
+            assert type(err.value) is ValidationError
 
     def test_slope_at_one_matches_reverse_sstar(self, remark3):
         slope = slope_at_one(remark3, eps=0.01)
