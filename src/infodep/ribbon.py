@@ -54,9 +54,13 @@ Jensen.  From the floor 1 + rho^2 (p - 1), under which no point of the
 ribbon lies (Ahlswede & Gacs 1976), q_star runs the sweeps at q_k,
 warm-started from the columns of q_(k-1), and a few sweeps after the first
 column whose gap exceeds ``_WITNESS_GAP`` it moves to the largest crossing
-of those columns (see ``_crossing`` and ``_CRAWL_RATIO``).  It stops at the
-first q whose sweeps end, by convergence or by the cap, with no such
-column, so every answer above the floor is the crossing of an explicit g.
+of those columns (see ``_CRAWL_RATIO``).  A column's crossing is the root
+of f(q) = log E[g^q] - q log ||E[g|X]||_p, convex because log E[g^q] is a
+log-moment generating function, so Newton's method from the root of the
+tangent at q_k descends to it from above without passing it
+(``_crossing``).  The climb stops at the first q whose sweeps end, by
+convergence or by the cap, with no such column, so every answer above the
+floor is the crossing of an explicit g.
 Only a floor of exactly 1 (p = 1, rho = 0) or p within 1e-12 of 1 returns
 at once.  Below about p = 1 + 1e-10 (fig2 and remark3) no column clears the
 1e-12 test, so the chordal slope reads rho^2 there, not s*(Y;X).  Just
@@ -127,11 +131,8 @@ _CRAWL_RATIO = 0.25
 #: cap on q_star's outer steps (at most 6 on the ribbon benchmark's inputs,
 #: and 9 on 145 flat- and sparse-Dirichlet joints up to 7x11)
 _QSTAR_MAX_STEPS = 100
-#: cap on the bracketing steps of one crossing solve
+#: cap on the Newton steps of one crossing solve
 _CROSSING_MAX_ITER = 60
-#: a crossing bracket this many ulps of q wide, or across which f moves by
-#: this many ulps of its largest term, is closed
-_CROSSING_ULPS = 2.0
 
 
 @dataclass(frozen=True)
@@ -226,6 +227,8 @@ def _gap(
     sweeps from the indicators.
     """
     p, q = _check_orders(p, q)
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if p - 1.0 < 1e-12:
         return 0.0, 0
     kernel, ny = _kernel(j), j.shape[1]
@@ -282,11 +285,11 @@ def contraction_gap(j: JointDistribution, p: float, q: float, seed: int = 0) -> 
     constant function is always a seed, so the estimate is never negative;
     it is a lower bound on the true supremum (see module docstring).  The
     Dirichlet seeds, 288 of them when |Y| <= 8 and ``GAP_RESTARTS`` = 32
-    otherwise, are drawn from a generator seeded with ``seed``.  Each sweep
-    applies the fixed-point map to every seed column and then an Anderson
-    mix of the column's last iterates, two-term or, where the residual
-    differences are parallel, one-term, renormalized to
-    ||g||_q = 1; the gap is the largest seen at any iterate, and since every
+    otherwise, are drawn from a generator seeded with ``seed``, which must
+    not be negative.  Each sweep applies the fixed-point map to every seed
+    column and then an Anderson mix of the column's last iterates, two-term
+    or, where the residual differences are parallel, one-term, renormalized
+    to ||g||_q = 1; the gap is the largest seen at any iterate, and since every
     iterate is a feasible g it stays a lower bound.  The sweeps stop once the
     map moves log g by less than ``GAP_CONV_TOL`` or after ``GAP_MAX_ITER``
     of them, whichever comes first.
@@ -320,71 +323,40 @@ def _crossing(
     log ||E[g|X]||_p, ``log_norms``.  With K(q) = log E[g^q] under ``py``,
     it is the root of the convex f(q) = K(q) - q log_norms, which is below
     0 at ``lo`` for a witness.  K and K' are read off the sweeps' form
-    K(q) = q top + log(py @ exp(q (log g - top))), top the column maximum,
-    and f's rounding is one ulp of |log(py @ ...)| + q |top|.  The tangent
-    at ``lo`` lies below f, so its root is a right end at or above the
-    crossing, and far closer to it than ``hi``; where the slope at ``lo`` is
-    not positive or the root lies beyond ``hi``, the right end is ``hi``.  A
-    column with f <= 0 at its first right end crosses there: at ``hi``, or
-    at a tangent root within rounding of its crossing.  Each step then takes
-    Newton from the right end, which stays at or above the root, and a chord
-    from the left, which stays at or below it, so every left end keeps
-    f <= 0 and the column witnesses q* >= it.  Near the root the sign of f
-    is rounding noise and both steps can land on an end; Newton then tries
-    one ulp inside the right end and the midpoint takes the chord's place,
-    so every step narrows the bracket.  A column whose right end falls below
-    the best left end cannot win and is dropped, and the arrays are cut to
-    the columns left, so the last one closes alone.  A bracket closes at
-    ``_CROSSING_ULPS`` ulps of q, or where f moves across it by at most
-    ``_CROSSING_ULPS`` ulps of its largest term.  Callers run it under
-    ``np.errstate(all="ignore")``.
+    K(q) = q top + log(py @ exp(q (log g - top))), top the column maximum.
+    Each column starts at the root of its tangent at ``lo``, or at ``hi``
+    where the slope there is not positive or the root lies beyond ``hi``.
+    While its f > 0 it takes Newton's step, or one ulp down where the step
+    rounds to less: f is convex and rises through the root, so each tangent
+    lies below f and Newton descends to the root without passing it, and
+    the ulp floor ends the descent where rounding stalls it.  A column still
+    above 0 after ``_CROSSING_MAX_ITER`` steps reports ``lo``.  So every end
+    has a computed f <= 0, and its g witnesses q* >= it.  Callers run it
+    under ``np.errstate(all="ignore")``.
     """
-    cols = np.arange(log_norms.shape[0])
     top = np.maximum.reduce(logG, 0)
     lg = logG - top
     lgz = np.where(lg > -np.inf, lg, 0.0)
-    shift, mag = top - log_norms, np.abs(top)  # f = log(py @ exp(q lg)) + q shift
+    shift = top - log_norms  # f = log(py @ exp(q lg)) + q shift
 
-    def at(q: np.ndarray) -> np.ndarray:
-        # rows q, f, f' and one ulp of f's largest term, on the columns left
+    def at(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         e = np.exp(q * lg)
         total = py @ e
-        k = np.log(total)
-        return np.array((q, k + q * shift, (py @ (e * lgz)) / total + shift,
-                         np.spacing(np.abs(k) + q * mag)))
+        return np.log(total) + q * shift, (py @ (e * lgz)) / total + shift
 
-    def move(x: np.ndarray, left: np.ndarray, right: np.ndarray):
-        # the end on f(x)'s side moves to x where x narrows the bracket
-        new = at(x)
-        return (np.where((new[1] <= 0.0) & (x > left[0]), new, left),
-                np.where((new[1] > 0.0) & (x < right[0]), new, right))
-
-    left = at(np.full(cols.size, lo))
-    tangent = lo - left[1] / left[2]
-    right = at(np.where((left[2] > 0.0) & (tangent < hi), tangent, hi))
-    left = np.where(right[1] <= 0.0, right, left)
-    ends = np.full(cols.size, -np.inf)  # left ends by column, as of the last cut
-    best_a = -np.inf
+    f, df = at(np.full(shift.size, lo))
+    tangent = lo - f / df
+    q = np.where((df > 0.0) & (tangent < hi), tangent, hi)
+    f, df = at(q)
     for _ in range(_CROSSING_MAX_ITER):
-        a, (b, _, db, ub) = left[0], right
-        best_a = max(best_a, a.max())
-        width = _CROSSING_ULPS * np.maximum(np.spacing(b), ub / db)
-        live = (b - a > width) & (b > best_a)
-        if not live.all():
-            ends[cols] = a
-            if not live.any():
-                break
-            cols, shift, mag = cols[live], shift[live], mag[live]
-            lg, lgz = lg[:, live], lgz[:, live]
-            left, right = left[:, live], right[:, live]
-        a, (b, fb, db, _) = left[0], right
-        left, right = move(np.minimum(np.maximum(b - fb / db, a), np.nextafter(b, a)), left, right)
-        (a, fa), (b, fb) = left[:2], right[:2]
-        chord = a - fa * (b - a) / (fb - fa)
-        left, right = move(np.where((a < chord) & (chord < b), chord, 0.5 * (a + b)), left, right)
-    ends[cols] = left[0]
-    best = int(np.argmax(ends))
-    return float(ends[best]), best
+        above = f > 0.0
+        if not above.any():
+            break
+        q = np.where(above, np.minimum(q - f / df, np.nextafter(q, -np.inf)), q)
+        f, df = at(q)
+    q = np.where(f > 0.0, lo, q)
+    best = int(np.argmax(q))
+    return float(q[best]), best
 
 
 def _q_star(
@@ -395,6 +367,8 @@ def _q_star(
     p = float(p)
     if not 1.0 <= p <= QSTAR_MAX_P:
         raise ValidationError(f"p must be in [1, {QSTAR_MAX_P:g}], got {p!r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     try:
         rho = maximal_correlation(j).rho
     except DegenerateAlphabet:
@@ -442,8 +416,9 @@ def q_star(j: JointDistribution, p: float, *, seed: int = 0) -> float:
     cap of 100 outer steps ended the climb, the sweeps at q found no column
     with a gap above 1e-12.  The floor is returned without a sweep where it
     is exactly 1 (p = 1, or rho = 0) or p is within 1e-12 of 1.  The
-    Dirichlet seed columns come from ``seed``.  A single-symbol alphabet
-    counts as rho = 0.  p must lie in [1, ``QSTAR_MAX_P``].
+    Dirichlet seed columns come from ``seed``, which must not be negative.
+    A single-symbol alphabet counts as rho = 0.  p must lie in
+    [1, ``QSTAR_MAX_P``].
     """
     return _q_star(j, p, seed=seed)[0]
 
@@ -485,8 +460,13 @@ def slope_at_one(j: JointDistribution, eps: float, *, seed: int = 0) -> float:
 
 
 def conjugate(p: float) -> float:
-    """The Hoelder conjugate p/(p-1); an involution pairing the two ribbons."""
+    """The Hoelder conjugate p/(p-1); an involution pairing the two ribbons.
+
+    p must be finite and above 1: p = 1 raises ``PEqualsOne``.
+    """
     p = float(p)
     if p == 1.0:
         raise PEqualsOne("the conjugate of 1 is unbounded")
+    if not 1.0 < p < math.inf:
+        raise ValidationError(f"the conjugate needs a finite p > 1, got {p!r}")
     return p / (p - 1.0)

@@ -325,10 +325,12 @@ def sstar(
     ``diagnostics["kkt_residual"]`` is the largest entry of the ratio's
     gradient projected onto the maximizer's face.  The value is exactly the
     ratio at the reported maximizer.  ``restarts`` may be at most
-    ``MAX_RESTARTS``.
+    ``MAX_RESTARTS``, and ``seed`` must not be negative.
     """
     if not 0 <= restarts <= MAX_RESTARTS:
         raise ValidationError(f"restarts must be in [0, {MAX_RESTARTS}], got {restarts!r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     nx = j.shape[0]
     px = j.px
     if nx < 2:

@@ -24,6 +24,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize(
+    "argv", [("measures", "fig2"), ("ribbon", "fig2"), ("tensor", "fig2", "remark3")]
+)
+def test_negative_seed_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "seed" in err
+
+
 class TestInfo:
     def test_fig2(self, capsys):
         code, out, err = run(capsys, "info", "fig2")

@@ -65,6 +65,13 @@ class TestContractionGap:
         gap = contraction_gap(identity_coupling, 2.0, 1.5)
         assert gap == pytest.approx(0.12246204830937309, abs=1e-6)
 
+    @pytest.mark.parametrize("call", [contraction_gap, in_ribbon])
+    @pytest.mark.parametrize("p, q", [(2.0, 1.5), (1.0, 1.0)])
+    def test_negative_seed_rejected(self, fig2, call, p, q):
+        # p = 1 is exact and would run no sweep
+        with pytest.raises(ValidationError, match="seed"):
+            call(fig2, p, q, seed=-1)
+
     def test_identity_coupling_q_equals_one_branch(self, identity_coupling):
         gap = contraction_gap(identity_coupling, 2.0, 1.0)
         assert gap == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
@@ -301,8 +308,11 @@ class TestSweepCount:
     parallel, so every column takes the one-term mix.  When a column that
     failed the 2x2 test took the plain step instead, q*(remark3, 4) ran 269
     sweeps and the fig2 probe at (128, 80) ended at the cap.  q*(remark3, 4)
-    ran 19 sweeps, and runs 20 since that normalization and the crossing
-    solve's log E[g^q] took the max-shifted form."""
+    ran 19 sweeps, ran 20 when that normalization and the crossing solve's
+    log E[g^q] took the max-shifted form, and runs 19 again since the
+    crossing solve descends by Newton from above: its crossings end on
+    other floats within rounding of their roots, and the run warm-started
+    at the last of them converges a sweep sooner."""
 
     @pytest.mark.parametrize(
         "p, q, sweeps",
@@ -317,7 +327,7 @@ class TestSweepCount:
         assert (gap > GAP_TOL) == (q == 1.25)
 
     def test_binary_alphabet_converges(self, fig2, remark3):
-        assert _q_star(remark3, 4.0, seed=0)[3] == 20
+        assert _q_star(remark3, 4.0, seed=0)[3] == 19
         assert _gap(fig2, 128.0, 80.0, np.inf, 0)[1] == 26
 
     def test_exact_cases_run_no_sweep(self, fig2):
@@ -521,6 +531,12 @@ class TestQStar:
         with pytest.raises(ValidationError):
             q_star(fig2, 0.9)
 
+    def test_negative_seed_rejected(self, fig2, independent):
+        # before any work: the independent joint's floor of 1 returns at once
+        for j in (fig2, independent):
+            with pytest.raises(ValidationError, match="seed"):
+                q_star(j, 4.0, seed=-1)
+
     @pytest.mark.parametrize("p", [math.nan, math.inf])
     def test_non_finite_or_invalid_arguments_rejected(self, fig2, p):
         with pytest.raises(ValidationError):
@@ -699,14 +715,26 @@ class TestCrossing:
         assert f < 0.0 and slope > 0.0 and lo - f / slope > hi
         self._check_single(log_g, py, norm, lo, hi)
 
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_capped_descent_reports_lo_or_a_witnessed_end(self, cap, monkeypatch):
+        # a column still above 0 at the cap reports lo, so the capped answer
+        # falls short of the full one; every other end still witnesses
+        logG, norms, py, lo, hi = self._columns()
+        with np.errstate(all="ignore"):
+            full = _crossing(logG, norms, py, lo, hi)[0]
+            monkeypatch.setattr("infodep.ribbon._CROSSING_MAX_ITER", cap)
+            q, col = _crossing(logG, norms, py, lo, hi)
+        assert lo <= q < full
+        assert q == lo or _log_q_norm(logG[:, col], py, q) <= norms[col]
+
     @pytest.mark.parametrize("ncols", [1, 2])
     def test_near_linear_column_returns_its_crossing(self, ncols):
         # a g near the constant whose crossing lies just above lo: f is so
         # near linear there that the tangent at lo, or the first Newton step
         # from it, lands within rounding of the crossing, where the sign of f
-        # is noise.  A bracket that stops when neither of its steps moves it
-        # returns a left end far short of the crossing there (seeds 2, 3 and
-        # 26), and two identical columns stall together
+        # is noise.  There a Newton step can round to nothing, and the
+        # descent's one-ulp floor must keep it moving down to a point where
+        # f is at most 0, for two identical columns as for one
         lo, hi = 7.0, 10.0
         for seed in range(32):
             rng = np.random.default_rng(seed)
@@ -935,3 +963,10 @@ class TestConjugate:
     def test_rejects_one(self):
         with pytest.raises(PEqualsOne):
             conjugate(1.0)
+
+    @pytest.mark.parametrize("p", [0.5, 0.0, -2.0, math.inf, math.nan])
+    def test_rejects_below_one_and_non_finite(self, p):
+        # below 1 the formula gives a negative conjugate, and at inf nan
+        with pytest.raises(ValidationError) as err:
+            conjugate(p)
+        assert type(err.value) is ValidationError

@@ -144,6 +144,10 @@ class TestSstar:
         with pytest.raises(ValidationError, match="restarts"):
             sstar(fig2, restarts=MAX_RESTARTS + 1)
 
+    def test_negative_seed_rejected(self, fig2):
+        with pytest.raises(ValidationError, match="seed"):
+            sstar(fig2, seed=-1)
+
     def test_converged_flag(self, fig2, remark3):
         assert sstar(fig2).diagnostics["converged"] is True
         table = np.random.default_rng(4).dirichlet(np.ones(16)).reshape(4, 4)
