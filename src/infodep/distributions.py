@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -98,6 +99,18 @@ def _check_sizes(
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} contains non-finite entries")
+
+
+def _check_count(value, what: str) -> int:
+    """``value`` as a non-negative int; ints and numpy ints pass, anything
+    else (a float such as 2.5 or 2.0, a negative number) is refused."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise ValidationError(f"{what} must be a non-negative integer, got {value!r}")
+    return count
 
 
 def _clean_probs(arr: np.ndarray, atol: float, what: str) -> np.ndarray:

@@ -86,7 +86,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import JointDistribution
+from .distributions import JointDistribution, _check_count
 from .errors import BadOrder, DegenerateAlphabet, PEqualsOne, ValidationError
 from .spectral import maximal_correlation
 
@@ -227,8 +227,7 @@ def _gap(
     sweeps from the indicators.
     """
     p, q = _check_orders(p, q)
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _check_count(seed, "seed")
     if p - 1.0 < 1e-12:
         return 0.0, 0
     kernel, ny = _kernel(j), j.shape[1]
@@ -367,8 +366,7 @@ def _q_star(
     p = float(p)
     if not 1.0 <= p <= QSTAR_MAX_P:
         raise ValidationError(f"p must be in [1, {QSTAR_MAX_P:g}], got {p!r}")
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _check_count(seed, "seed")
     try:
         rho = maximal_correlation(j).rho
     except DegenerateAlphabet:

@@ -33,6 +33,7 @@ from .distributions import (
     JointDistribution,
     LogBase,
     PMF,
+    _check_count,
     _kl_terms,
     mutual_information,
 )
@@ -170,19 +171,18 @@ def kl_ratio(j: JointDistribution, r: PMF, base: LogBase = LogBase.BITS) -> floa
 
 
 def _ratio_terms(R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray):
-    """Ratio values, channel outputs R @ W, numerators, denominators and the
-    in-domain mask of the input rows R, divergences in nats.
+    """Ratio values, channel outputs W^T R, numerators, denominators and the
+    in-domain mask of the input columns R, divergences in nats.
 
-    Rows inside the excluded neighborhood of px get value -inf; rows whose
-    numerator sits below the float noise floor get the honest value 0.
+    Columns inside the excluded neighborhood of px get value -inf; columns
+    whose numerator sits below the float noise floor get the honest value 0.
+    Each divergence adds its terms over the symbols in order.
     """
-    RY = R @ W
-    den = _kl_terms(R, px).sum(axis=1)
-    num = _kl_terms(RY, py).sum(axis=1)
+    RY = W.T @ R
+    den = np.add.reduce(_kl_terms(R, px[:, None]), 0)
+    num = np.add.reduce(_kl_terms(RY, py[:, None]), 0)
     ok = den > SEARCH_EXCLUSION
-    ratios = np.where(
-        num < NUM_NOISE_FLOOR, 0.0, num / np.maximum(den, 1e-300)
-    )
+    ratios = np.where(num < NUM_NOISE_FLOOR, 0.0, num / np.maximum(den, 1e-300))
     return np.where(ok, ratios, -np.inf), RY, num, den, ok
 
 
@@ -194,7 +194,7 @@ def _ratio_at(
     A numerator below ``NUM_NOISE_FLOOR`` gives 0; otherwise the value is
     clamped to [0, 1], the range of the true ratio.
     """
-    _, _, num, den, _ = _ratio_terms(r[None, :], W, px, py)
+    _, _, num, den, _ = _ratio_terms(r[:, None], W, px, py)
     num, den = float(num[0]), float(den[0])
     if num < NUM_NOISE_FLOOR:
         return 0.0, den
@@ -204,28 +204,25 @@ def _ratio_at(
 def _batch_gradient(
     R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray, terms
 ) -> np.ndarray:
-    """Ratio gradients at the input rows R.
+    """Ratio gradients at the input columns R.
 
-    ``terms`` are the outputs R @ W and the numerators, denominators and
-    in-domain mask that :func:`_ratio_terms` gave for R.  Rows inside the
+    ``terms`` are the outputs W^T R and the numerators, denominators and
+    in-domain mask that :func:`_ratio_terms` gave for R.  Columns inside the
     excluded neighborhood of px get a zero gradient.  Log arguments are
-    floored at 1e-300 so boundary rows produce large finite subgradient
+    floored at 1e-300 so boundary columns produce large finite subgradient
     components instead of nan.
     """
     RY, num, den, ok = terms
-    g_num = (np.log(np.maximum(RY, 1e-300) / py) + 1.0) @ W.T
-    g_den = np.log(np.maximum(R, 1e-300) / px) + 1.0
-    with np.errstate(invalid="ignore"):
-        grad = (den[:, None] * g_num - num[:, None] * g_den) / np.maximum(
-            den**2, 1e-300
-        )[:, None]
-    return np.where(ok[:, None], grad, 0.0)
+    g_num = W @ (np.log(np.maximum(RY, 1e-300) / py[:, None]) + 1.0)
+    g_den = np.log(np.maximum(R, 1e-300) / px[:, None]) + 1.0
+    grad = (den * g_num - num * g_den) / np.maximum(den**2, 1e-300)
+    return np.where(ok, grad, 0.0)
 
 
 def _candidate_points(
     j: JointDistribution, rng: np.random.Generator, restarts: int
 ) -> np.ndarray:
-    """Vertices, witness-ray points and Dirichlet restarts, stacked as rows."""
+    """Vertices, witness-ray points and Dirichlet restarts, one per column."""
     nx = j.shape[0]
     px = j.px
     blocks = [np.eye(nx)]
@@ -234,12 +231,12 @@ def _candidate_points(
         for s in (1.0, -1.0):
             # p(x) (1 + t s f) reaches the simplex boundary at t = 1/max(-s f)
             t = np.geomspace(RAY_START, 1.0 / np.max(-s * f), RAY_POINTS)
-            ray = np.maximum(px * (1.0 + s * t[:, None] * f), 0.0)
-            blocks.append(ray / ray.sum(axis=1, keepdims=True))
+            ray = np.maximum(px[:, None] * (1.0 + s * t * f[:, None]), 0.0)
+            blocks.append(ray / np.add.reduce(ray, 0))
     except DegenerateAlphabet:
         pass
-    blocks.append(rng.dirichlet(np.ones(nx), size=restarts))
-    return np.vstack(blocks)
+    blocks.append(rng.dirichlet(np.ones(nx), size=restarts).T)
+    return np.hstack(blocks)
 
 
 def _leader(vals: np.ndarray, den: np.ndarray) -> int:
@@ -283,7 +280,7 @@ def _newton_finish(
             if trial.min() > 0.0:
                 cand = np.zeros_like(r)
                 cand[s] = trial / trial.sum()
-                cand_val, _, _, cand_den, _ = _ratio_terms(cand[None, :], W, px, py)
+                cand_val, _, _, cand_den, _ = _ratio_terms(cand[:, None], W, px, py)
                 if cand_val[0] > value or 0.0 < model_gain <= NEWTON_EXACT_GAIN:
                     break
         else:  # no step along the Newton direction raises the ratio
@@ -306,14 +303,16 @@ def sstar(
     draws seeded with ``seed``.  The best of them run a multiplicative ascent
     with a halving step ladder.  A sweep batches only the active starts,
     those that improved on the last sweep (``diagnostics["ascent_row_sweeps"]``
-    sums them): a start's sweep depends only on its own point and value, up
-    to ~1e-16 of BLAS rounding that varies with the batch shape.  The ratio
-    terms a sweep computes for the steps it accepts (outputs, numerators,
-    denominators) give the next sweep's gradients.
+    sums them), one column per start and per trial step, and sums over the
+    symbols in order: a start's sweep depends only on its own point and
+    value, up to ~1e-16 of BLAS rounding that varies with the batch shape.
+    The ratio terms a sweep computes for the steps it accepts (outputs,
+    numerators, denominators) give the next sweep's gradients.
 
     The first time every start that improved in a sweep gained at most
     ``HANDOFF_GAIN`` relative, the ascent has become a first-order crawl and
-    Dinkelbach-Newton steps finish the leader on its face.  If they end
+    Dinkelbach-Newton steps finish the leader on its face
+    (``diagnostics["handoff_sweep"]`` is that sweep, 0 if none).  If they end
     stationary at a value no active start exceeds, that point ends the
     ascent; otherwise the ascent goes on without another try.  The ascent
     also ends when no start improves by more than ``ASCENT_TOL`` relative,
@@ -324,13 +323,15 @@ def sstar(
     ascent or the Newton steps did not end stationary, and
     ``diagnostics["kkt_residual"]`` is the largest entry of the ratio's
     gradient projected onto the maximizer's face.  The value is exactly the
-    ratio at the reported maximizer.  ``restarts`` may be at most
-    ``MAX_RESTARTS``, and ``seed`` must not be negative.
+    ratio at the reported maximizer.  ``restarts``, ``seed`` and
+    ``max_iter`` must be non-negative integers, and ``restarts`` at most
+    ``MAX_RESTARTS``.
     """
-    if not 0 <= restarts <= MAX_RESTARTS:
+    restarts = _check_count(restarts, "restarts")
+    seed = _check_count(seed, "seed")
+    max_iter = _check_count(max_iter, "max_iter")
+    if restarts > MAX_RESTARTS:
         raise ValidationError(f"restarts must be in [0, {MAX_RESTARTS}], got {restarts!r}")
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     nx = j.shape[0]
     px = j.px
     if nx < 2:
@@ -340,7 +341,7 @@ def sstar(
             {"restarts": 0, "seed": seed,
              "tol": ASCENT_TOL, "candidates": 0, "ascent_sweeps": 0,
              "best_denominator_nats": 0.0, "converged": True,
-             "ascent_row_sweeps": 0, "kkt_residual": 0.0},
+             "ascent_row_sweeps": 0, "kkt_residual": 0.0, "handoff_sweep": 0},
         )
     W = j.pxy / px[:, None]
     py = j.py
@@ -348,63 +349,61 @@ def sstar(
 
     R = _candidate_points(j, rng, restarts)
     vals, RY, num, den, ok = _ratio_terms(R, W, px, py)
-    n_candidates = R.shape[0]
+    n_candidates = R.shape[1]
 
     keep = np.argsort(-vals)[: max(restarts + nx + 8, 32)]
-    R, RY, best_vals, num, den, ok = R[keep], RY[keep], vals[keep], num[keep], den[keep], ok[keep]
+    R, RY, best_vals, num, den, ok = R[:, keep], RY[:, keep], vals[keep], num[keep], den[keep], ok[keep]
 
     alphas = 4.0 * 0.5 ** np.arange(14)
-    act = np.arange(R.shape[0])
+    act = np.arange(R.shape[1])
     sweeps = 0
     row_sweeps = 0
-    tried = False
+    handoff = 0
     converged = False
     finished = None
-    for _ in range(max_iter):
-        sweeps += 1
-        row_sweeps += act.shape[0]
-        Ra = R[act]
-        grad = _batch_gradient(Ra, W, px, py, (RY[act], num[act], den[act], ok[act]))
-        # d: the gradient centred under r, scaled to max |d| = 1 on r's support;
-        # off it d is 0, or the huge log terms there would set the scale
-        d = np.where(Ra > 0.0, grad - np.sum(Ra * grad, axis=1, keepdims=True), 0.0)
-        d /= np.maximum(np.abs(d).max(axis=1, keepdims=True), 1e-300)
-        d -= d.max(axis=1, keepdims=True)  # exponents <= 0 cannot overflow
-        steps = Ra[:, None, :] * np.exp(alphas[None, :, None] * d[:, None, :])
-        steps /= steps.sum(axis=2, keepdims=True)
-        S = steps.reshape(-1, nx)
-        s_vals, SY, s_num, s_den, s_ok = _ratio_terms(S, W, px, py)
-        cand_vals = s_vals.reshape(steps.shape[:2])
-        pick = np.argmax(cand_vals, axis=1)
-        new_vals = cand_vals[np.arange(act.shape[0]), pick]
-        old_vals = best_vals[act]
-        gain = new_vals - old_vals
-        improved = gain > ASCENT_TOL * np.maximum(1.0, np.abs(old_vals))
-        if not improved.any():
-            converged = True
-            break
-        # a start that did not improve would repeat the same failed step on
-        # every later sweep, so it retires for good; its sweep depends on the
-        # batch only through BLAS rounding (~1e-16 against the ASCENT_TOL test)
-        rows = (np.arange(act.shape[0]) * alphas.size + pick)[improved]
-        crawl = np.all(
-            gain[improved] <= HANDOFF_GAIN * np.maximum(1.0, np.abs(old_vals[improved]))
-        )
-        act = act[improved]
-        R[act], RY[act], best_vals[act] = S[rows], SY[rows], s_vals[rows]
-        num[act], den[act], ok[act] = s_num[rows], s_den[rows], s_ok[rows]
-        if crawl and not tried:
-            tried = True
-            i = _leader(best_vals, den)
-            finished = _newton_finish(R[i], best_vals[i], float(den[i]), W, px, py)
-            if finished[2] and finished[1] >= best_vals[act].max():
+    with np.errstate(invalid="ignore"):
+        for _ in range(max_iter):
+            sweeps += 1
+            n = act.shape[0]
+            row_sweeps += n
+            Ra = R[:, act]
+            grad = _batch_gradient(Ra, W, px, py, (RY[:, act], num[act], den[act], ok[act]))
+            # d: the gradient centred under r, scaled to max |d| = 1 on r's
+            # support; off it d is 0, or the huge log terms there would set the scale
+            d = np.where(Ra > 0.0, grad - np.add.reduce(Ra * grad, 0), 0.0)
+            d /= np.maximum(np.maximum.reduce(np.abs(d), 0), 1e-300)
+            d -= np.maximum.reduce(d, 0)  # exponents <= 0 cannot overflow
+            steps = Ra[:, None, :] * np.exp(alphas[:, None] * d[:, None, :])
+            steps /= np.add.reduce(steps, 0)
+            S = steps.reshape(nx, -1)
+            s_vals, SY, s_num, s_den, s_ok = _ratio_terms(S, W, px, py)
+            cols = s_vals.reshape(alphas.size, n).argmax(0) * n + np.arange(n)
+            scale = np.maximum(1.0, np.abs(best_vals[act]))
+            gain = s_vals[cols] - best_vals[act]
+            improved = gain > ASCENT_TOL * scale
+            if not np.logical_or.reduce(improved):
                 converged = True
                 break
-            finished = None
+            # a start that did not improve would repeat the same failed step on
+            # every later sweep, so it retires for good; its sweep depends on the
+            # batch only through BLAS rounding (~1e-16 against the ASCENT_TOL test)
+            cols = cols[improved]
+            crawl = np.logical_and.reduce(gain[improved] <= HANDOFF_GAIN * scale[improved])
+            act = act[improved]
+            R[:, act], RY[:, act], best_vals[act] = S[:, cols], SY[:, cols], s_vals[cols]
+            num[act], den[act], ok[act] = s_num[cols], s_den[cols], s_ok[cols]
+            if crawl and not handoff:
+                handoff = sweeps
+                i = _leader(best_vals, den)
+                finished = _newton_finish(R[:, i], best_vals[i], float(den[i]), W, px, py)
+                if finished[2] and finished[1] >= np.maximum.reduce(best_vals[act]):
+                    converged = True
+                    break
+                finished = None
 
     if finished is None:
         i = _leader(best_vals, den)
-        finished = _newton_finish(R[i], best_vals[i], float(den[i]), W, px, py)
+        finished = _newton_finish(R[:, i], best_vals[i], float(den[i]), W, px, py)
     best_r, _, stationary, residual = finished
     value, best_den = _ratio_at(best_r, W, px, py)
     if best_den < SEARCH_EXCLUSION:
@@ -415,8 +414,8 @@ def sstar(
         value,
         PMF(j.x_labels, best_r),
         {
-            "restarts": int(restarts),
-            "seed": int(seed),
+            "restarts": restarts,
+            "seed": seed,
             "tol": ASCENT_TOL,
             "candidates": int(n_candidates),
             "ascent_sweeps": int(sweeps),
@@ -424,6 +423,7 @@ def sstar(
             "converged": converged and stationary,
             "ascent_row_sweeps": int(row_sweeps),
             "kkt_residual": residual,
+            "handoff_sweep": handoff,
         },
     )
 
@@ -456,12 +456,12 @@ def ratio_for_u(
     scale = base.from_nats
     px, py = j.px, j.py
     W = j.pxy / px[:, None]
-    _, Ry, num, den, _ = _ratio_terms(Rx, W, px, py)
+    _, Ry, num, den, _ = _ratio_terms(Rx.T, W, px, py)
     i_ux = float(w @ den) * scale
     i_uy = float(w @ num) * scale
 
     jux = JointDistribution(labels_u, j.x_labels, w[:, None] * Rx)
-    juy = JointDistribution(labels_u, j.y_labels, w[:, None] * Ry)
+    juy = JointDistribution(labels_u, j.y_labels, w[:, None] * Ry.T)
     mi_ux = mutual_information(jux, base)
     mi_uy = mutual_information(juy, base)
     if abs(mi_ux - i_ux) > 1e-10 or abs(mi_uy - i_uy) > 1e-10:

@@ -72,6 +72,12 @@ class TestContractionGap:
         with pytest.raises(ValidationError, match="seed"):
             call(fig2, p, q, seed=-1)
 
+    @pytest.mark.parametrize("call", [contraction_gap, in_ribbon])
+    @pytest.mark.parametrize("p, q", [(2.0, 1.5), (1.0, 1.0)])
+    def test_non_integer_seed_rejected(self, fig2, call, p, q):
+        with pytest.raises(ValidationError, match="seed"):
+            call(fig2, p, q, seed=1.5)
+
     def test_identity_coupling_q_equals_one_branch(self, identity_coupling):
         gap = contraction_gap(identity_coupling, 2.0, 1.0)
         assert gap == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
@@ -536,6 +542,11 @@ class TestQStar:
         for j in (fig2, independent):
             with pytest.raises(ValidationError, match="seed"):
                 q_star(j, 4.0, seed=-1)
+
+    def test_non_integer_seed_rejected(self, fig2, independent):
+        for j in (fig2, independent):
+            with pytest.raises(ValidationError, match="seed"):
+                q_star(j, 4.0, seed=1.5)
 
     @pytest.mark.parametrize("p", [math.nan, math.inf])
     def test_non_finite_or_invalid_arguments_rejected(self, fig2, p):

@@ -133,6 +133,7 @@ class TestSstar:
             "best_denominator_nats",
             "converged",
             "kkt_residual",
+            "handoff_sweep",
         ):
             assert key in diag
 
@@ -148,6 +149,24 @@ class TestSstar:
         with pytest.raises(ValidationError, match="seed"):
             sstar(fig2, seed=-1)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("max_iter", -1), ("max_iter", 2.5), ("restarts", 2.5), ("restarts", 2.0),
+         ("seed", 1.5), ("seed", 2.0)],
+    )
+    def test_bad_counts_rejected(self, fig2, name, value):
+        single = joint_from_matrix([[0.3, 0.7]], (0,), (0, 1))
+        for j in (fig2, single):
+            with pytest.raises(ValidationError, match=name):
+                sstar(j, **{name: value})
+
+    def test_numpy_int_counts_accepted(self, remark3):
+        res = sstar(remark3, restarts=np.int64(8), seed=np.int32(3), max_iter=np.int64(50))
+        ref = sstar(remark3, restarts=8, seed=3, max_iter=50)
+        assert res.value == ref.value
+        assert res.diagnostics == ref.diagnostics
+        assert type(res.diagnostics["seed"]) is int
+
     def test_converged_flag(self, fig2, remark3):
         assert sstar(fig2).diagnostics["converged"] is True
         table = np.random.default_rng(4).dirichlet(np.ones(16)).reshape(4, 4)
@@ -162,6 +181,7 @@ class TestSstar:
         assert res.value == 0.0
         np.testing.assert_array_equal(res.maximizer.probs, j.px)
         assert res.diagnostics.keys() == sstar(fig2).diagnostics.keys()
+        assert res.diagnostics["handoff_sweep"] == 0
 
     def test_row_sweeps_count_only_active_starts(self, remark3):
         table = np.random.default_rng(4).dirichlet(np.ones(16)).reshape(4, 4)
@@ -300,12 +320,12 @@ class TestSearchEngine:
 
 
 def _values(R, W, px, py):
-    """Ratio values at the input rows R."""
+    """Ratio values at the input columns R."""
     return _ratio_terms(R, W, px, py)[0]
 
 
 def _gradient(R, W, px, py):
-    """Ratio gradients at the input rows R, from freshly computed terms."""
+    """Ratio gradients at the input columns R, from freshly computed terms."""
     return _batch_gradient(R, W, px, py, _ratio_terms(R, W, px, py)[1:])
 
 
@@ -317,25 +337,26 @@ def _finish(r, value, W, px, py):
 def _reference_sstar(j, restarts: int = 64, seed: int = 0, max_iter: int = 200) -> float:
     """s* by the ascent without the Newton handoff: every sweep recomputes its
     ratio terms, the ascent runs until no start improves or the sweep cap
-    ends it, and the Newton steps then finish the best start."""
+    ends it, and the Newton steps then finish the best start.  It holds one
+    start per row and hands the kernels the transposes."""
     nx = j.shape[0]
     px, py = j.px, j.py
     W = j.pxy / px[:, None]
-    R = _candidate_points(j, np.random.default_rng(seed), restarts)
-    vals = _values(R, W, px, py)
+    R = _candidate_points(j, np.random.default_rng(seed), restarts).T
+    vals = _values(R.T, W, px, py)
     keep = np.argsort(-vals)[: max(restarts + nx + 8, 32)]
     R, best_vals = R[keep], vals[keep]
     alphas = 4.0 * 0.5 ** np.arange(14)
     act = np.arange(R.shape[0])
     for _ in range(max_iter):
         Ra = R[act]
-        grad = _gradient(Ra, W, px, py)
+        grad = _gradient(Ra.T, W, px, py).T
         d = np.where(Ra > 0.0, grad - np.sum(Ra * grad, axis=1, keepdims=True), 0.0)
         d /= np.maximum(np.abs(d).max(axis=1, keepdims=True), 1e-300)
         d -= d.max(axis=1, keepdims=True)
         steps = Ra[:, None, :] * np.exp(alphas[None, :, None] * d[:, None, :])
         steps /= steps.sum(axis=2, keepdims=True)
-        cand = _values(steps.reshape(-1, nx), W, px, py).reshape(steps.shape[:2])
+        cand = _values(steps.reshape(-1, nx).T, W, px, py).reshape(steps.shape[:2])
         pick = np.argmax(cand, axis=1)
         new_vals = cand[np.arange(act.shape[0]), pick]
         old_vals = best_vals[act]
@@ -377,6 +398,13 @@ class TestNewtonHandoff:
         if name in self.CAPPED:
             assert res.diagnostics["ascent_sweeps"] < 200
             assert res.diagnostics["converged"] is True
+
+    def test_handoff_sweep_is_reported(self):
+        """J's one Newton try comes late, at sweep 177 of 200: until then some
+        start far below the leader still gains more than HANDOFF_GAIN."""
+        assert sstar(_square(35)).diagnostics["handoff_sweep"] == 177
+        capped = sstar(_handoff_case("remark3 x j4"), max_iter=1).diagnostics
+        assert capped["handoff_sweep"] == 0
 
     def test_no_loss_on_random_joints(self):
         rng = np.random.default_rng(131)
@@ -422,17 +450,17 @@ def _kernel_args(j):
 
 class TestRatioKernel:
     """The ascent's batch kernel: its gradient is the ratio's derivative, and
-    a row's value and gradient do not depend on the batch around it."""
+    a column's value and gradient do not depend on the batch around it."""
 
     @pytest.mark.parametrize("shape", [(3, 4), (4, 4)])
     def test_gradient_matches_central_differences(self, shape):
         rng = np.random.default_rng(11)
         j = random_joint(rng, *shape)
         nx = shape[0]
-        R = rng.dirichlet(np.full(nx, 5.0), size=4)  # interior rows
+        R = rng.dirichlet(np.full(nx, 5.0), size=4).T  # interior columns
         grads = _gradient(R, *_kernel_args(j))
         h = 1e-6  # truncation error ~1e-10 here, rounding ~1e-10
-        for r, g in zip(R, grads):
+        for r, g in zip(R.T, grads.T):
             for _ in range(3):
                 v = rng.normal(size=nx)
                 v -= v.mean()  # tangent to the simplex
@@ -446,11 +474,11 @@ class TestRatioKernel:
         rng = np.random.default_rng(12)
         j = random_joint(rng, *shape)
         args = _kernel_args(j)
-        R = rng.dirichlet(np.ones(shape[0]), size=50)
+        R = rng.dirichlet(np.ones(shape[0]), size=50).T
         vals, grads = _values(R, *args), _gradient(R, *args)
-        for r, val, g in zip(R, vals, grads):
-            alone_val = _values(r[None, :], *args)[0]
-            alone_g = _gradient(r[None, :], *args)[0]
+        for r, val, g in zip(R.T, vals, grads.T):
+            alone_val = _values(r[:, None], *args)[0]
+            alone_g = _gradient(r[:, None], *args)[:, 0]
             assert abs(alone_val - val) <= 1e-13 * abs(val)
             assert np.abs(alone_g - g).max() <= 1e-13 * np.abs(g).max()
 
