@@ -11,10 +11,11 @@ modules.  Between the two limits it need not be monotone.
 
 The inner supremum over g is nonconvex, so :func:`contraction_gap` is a
 seeded multistart estimator and a *lower* bound on the true sup: q_star is
-a lower estimate and in_ribbon can err only toward "yes".  Mitigations: the
-seed set always contains every coordinate indicator (extremal for large p),
-the constant function (extremal near independence), and Dirichlet draws;
-iteration is a fixed point of the first-order stationarity map
+a lower estimate, and :func:`in_ribbon`, which reads q >= q_star, can err
+only toward "yes".  Mitigations: the seed set always contains every
+coordinate indicator (extremal for large p), the constant function
+(extremal near independence), and Dirichlet draws; iteration is a fixed
+point of the first-order stationarity map
 
     g  proportional to  E[ (E[g|X])^(p-1) | Y ] ^ (1/(q-1))
 
@@ -64,13 +65,9 @@ floor is the crossing of an explicit g.
 Only a floor of exactly 1 (p = 1, rho = 0) or p within 1e-12 of 1 returns
 at once.  Below about p = 1 + 1e-10 (fig2 and remark3) no column clears the
 1e-12 test, so the chordal slope reads rho^2 there, not s*(Y;X).  Just
-below q* the gap opens only at second order, so a 1e-9 test (``GAP_TOL``)
-there still reads "in": the witness threshold sits far below it.  On the
-binary symmetric channel the floor is q* itself (Bonami 1970; Beckner 1975).
-
-:func:`in_ribbon` stops at the first sweep whose gap, a running maximum,
-exceeds its tolerance: later sweeps could only raise it, so the answer is
-the full :func:`contraction_gap` run's.
+below q* the gap opens only at second order, so a 1e-9 test there still
+reads "in": the witness threshold sits far below it.  On the binary
+symmetric channel the floor is q* itself (Bonami 1970; Beckner 1975).
 
 A sweep's arrays hold |X| or |Y| times about 290 entries, so numpy's
 overhead per call sets its cost: reductions call ``ufunc.reduce``, not the
@@ -108,8 +105,6 @@ GAP_RESTARTS = 32
 GAP_MAX_ITER = 300
 #: convergence tolerance on log g between sweeps
 GAP_CONV_TOL = 1e-12
-#: a gap at most this large counts as "the inequality holds"
-GAP_TOL = 1e-9
 #: the largest p q_star accepts: far above it the sweeps lose the gap to
 #: rounding (fig2's chordal slope read 0.2585 at p = 1e9, below rho^2 = 0.6)
 QSTAR_MAX_P = 128.0
@@ -215,36 +210,6 @@ def _sweeps(kernel, p: float, q: float, logG: np.ndarray):
         logG = _anderson_step(hist, normalize) if len(hist) == 3 else new
 
 
-def _gap(
-    j: JointDistribution, p: float, q: float, stop_above: float, seed: int
-) -> tuple[float, int]:
-    """contraction_gap and the number of sweeps run, returning once the
-    running gap exceeds ``stop_above``.
-
-    The gap only grows over sweeps, so the early return changes the value
-    but never which side of ``stop_above`` it lies on.  The exact cases run
-    no sweep: p = 1 gives 0, and q = 1 reads the first iterate of the
-    sweeps from the indicators.
-    """
-    p, q = _check_orders(p, q)
-    seed = _check_count(seed, "seed")
-    if p - 1.0 < 1e-12:
-        return 0.0, 0
-    kernel, ny = _kernel(j), j.shape[1]
-    best_log = -np.inf
-    with np.errstate(all="ignore"):
-        if q - 1.0 < 1e-12:
-            # the first iterate from the indicators: g = indicator(y) / p(y)
-            _, log_norms = next(_sweeps(kernel, p, 1.0, np.log(np.eye(ny))))
-            return float(max(np.expm1(np.maximum.reduce(log_norms)), 0.0)), 0
-        logG = _seed_columns(ny, seed)
-        for sweeps, (_, log_norms) in enumerate(_sweeps(kernel, p, q, logG), 1):
-            best_log = max(best_log, float(np.maximum.reduce(log_norms)))
-            if np.expm1(best_log) > stop_above:
-                break
-    return float(max(np.expm1(best_log), 0.0)), sweeps
-
-
 def _anderson_step(hist, normalize) -> np.ndarray:
     """The two-term Anderson mix of each column of log g (Walker & Ni 2011).
 
@@ -299,18 +264,37 @@ def contraction_gap(j: JointDistribution, p: float, q: float, seed: int = 0) -> 
     them are evaluated at once, as the first iterate of the sweeps from the
     indicators, which the normalization at q = 1 scales to E[g] = 1.
     """
-    return _gap(j, p, q, np.inf, seed)[0]
+    p, q = _check_orders(p, q)
+    seed = _check_count(seed, "seed")
+    if p - 1.0 < 1e-12:
+        return 0.0
+    kernel, ny = _kernel(j), j.shape[1]
+    with np.errstate(all="ignore"):
+        if q - 1.0 < 1e-12:
+            # the first iterate from the indicators: g = indicator(y) / p(y)
+            _, log_norms = next(_sweeps(kernel, p, 1.0, np.log(np.eye(ny))))
+            return float(max(np.expm1(np.maximum.reduce(log_norms)), 0.0))
+        best_log = -np.inf
+        for _, log_norms in _sweeps(kernel, p, q, _seed_columns(ny, seed)):
+            best_log = max(best_log, float(np.maximum.reduce(log_norms)))
+    return float(max(np.expm1(best_log), 0.0))
 
 
 def in_ribbon(j: JointDistribution, p: float, q: float, seed: int = 0) -> bool:
-    """Whether the (p, q) contraction holds: contraction_gap <= GAP_TOL.
+    """Whether (p, q) lies in the ribbon: q >= q_star(j, p, seed=seed).
 
-    The sweeps stop at the first one whose gap exceeds ``GAP_TOL``; the
-    answer is the one the full contraction_gap run with the same ``seed``
-    gives.  Just inside q* a gap under ``GAP_TOL`` can still be a violation
-    (see the module docstring), so q_star does not probe with it.
+    The ribbon is {(p, q): q >= q*(p)}, because ||g||_q does not decrease in
+    q, so in_ribbon and q_star never disagree, and like q_star the answer
+    can err only toward "yes".  A test of the gap at (p, q) reads "in" just
+    below q*, where the gap opens only at second order: a 1e-9 test read
+    "in" at 13 of 120 points within 1e-5 (q* - 1) below q* (fig2, remark3
+    and six seeded joints up to 4x4, p = 1.5, 4 and 32), each one outside
+    by q_star's witness.  A call costs one climb, about 3 ms on those
+    joints, against about 0.4 ms for an early-stopped sweep run at (p, q);
+    p must lie in [1, ``QSTAR_MAX_P``], as in q_star.
     """
-    return _gap(j, p, q, GAP_TOL, seed)[0] <= GAP_TOL
+    p, q = _check_orders(p, q)
+    return q >= q_star(j, p, seed=seed)
 
 
 def _crossing(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import PMF, JointDistribution
+from .distributions import PMF, JointDistribution, _check_finite
 from .errors import DegenerateAlphabet, NotBinary, ValidationError, ZeroFunction
 
 __all__ = [
@@ -149,6 +149,7 @@ def renyi_value(j: JointDistribution, f) -> float:
     f = np.asarray(f, dtype=float).reshape(-1)
     if f.shape[0] != j.shape[0]:
         raise ValidationError(f"f has {f.shape[0]} entries but |X| = {j.shape[0]}")
+    _check_finite(f, "f")
     px, py = j.px, j.py
     fc = f - px @ f
     var = float(px @ fc**2)

@@ -28,6 +28,7 @@ from .distributions import (
     JointDistribution,
     LogBase,
     PMF,
+    _check_count,
     _clean_rows,
     _entr,
     entropy,
@@ -196,7 +197,7 @@ def _entropy_grid(c: Channel, grid_n: int) -> tuple[np.ndarray, np.ndarray, np.n
         raise NotBinaryInput(
             f"1-D envelope needs |X| = 2, got |X| = {len(c.x_labels)}"
         )
-    grid_n = int(grid_n)
+    grid_n = _check_count(grid_n, "grid_n")
     if not 64 <= grid_n <= MAX_GRID_N:
         raise ValidationError(f"grid_n must be in [64, {MAX_GRID_N}], got {grid_n}")
     p0 = np.linspace(0.0, 1.0, grid_n + 1)

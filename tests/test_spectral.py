@@ -1,6 +1,7 @@
 """Unit tests for the spectral layer: Q-matrix, maximal correlation, witnesses."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from infodep import (
     DegenerateAlphabet,
     NotBinary,
+    ValidationError,
     ZeroFunction,
     backward_coupling,
     binary_rho_squared,
@@ -191,6 +193,16 @@ class TestRenyiValue:
 
         with pytest.raises(ZeroFunction):
             renyi_value(fig2, np.array([2.0, 2.0]))
+
+    @pytest.mark.parametrize("f", [[0.0, np.inf], [np.nan, 1.0], [-np.inf, np.inf]])
+    def test_non_finite_function_rejected(self, fig2, f):
+        # refused before the centering, where [0, inf] gives nan and a RuntimeWarning
+        from infodep import renyi_value
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite"):
+                renyi_value(fig2, np.array(f))
 
 
 class TestBackwardCoupling:

@@ -212,18 +212,24 @@ class TestLowerEnvelope:
             lower_envelope_1d(c, 0.5, grid_n=32)
 
     def test_oversized_grid_refused_before_any_array(self, fig2, monkeypatch):
+        # a float or a string is refused, not truncated or parsed by int()
         def no_grid(*args, **kwargs):
             raise AssertionError("a grid was built")
 
         c = channel_of(fig2)
         monkeypatch.setattr(np, "linspace", no_grid)
-        for call in (
-            lambda: lower_envelope_1d(c, 0.5, MAX_GRID_N + 1),
-            lambda: touches_envelope(c, 0.5, grid_n=MAX_GRID_N + 1),
-            lambda: lambda_dagger(c, MAX_GRID_N + 1),
-        ):
-            with pytest.raises(ValidationError, match="grid_n"):
-                call()
+        for grid_n in (MAX_GRID_N + 1, 4096.5, "4096", math.nan):
+            for call in (
+                lambda: lower_envelope_1d(c, 0.5, grid_n),
+                lambda: touches_envelope(c, 0.5, grid_n=grid_n),
+                lambda: lambda_dagger(c, grid_n),
+            ):
+                with pytest.raises(ValidationError, match="grid_n"):
+                    call()
+
+    def test_numpy_int_grid_accepted(self, fig2):
+        c = channel_of(fig2)
+        assert lambda_dagger(c, np.int64(4096)) == lambda_dagger(c, 4096)
 
     def test_rejects_wide_input(self):
         rng = np.random.default_rng(2)
