@@ -69,11 +69,11 @@ below q* the gap opens only at second order, so a 1e-9 test there still
 reads "in": the witness threshold sits far below it.  On the binary
 symmetric channel the floor is q* itself (Bonami 1970; Beckner 1975).
 
-A sweep's arrays hold |X| or |Y| times about 290 entries, so numpy's
+A sweep's arrays hold |X| or |Y| times |Y| + 97 entries, so numpy's
 overhead per call sets its cost: reductions call ``ufunc.reduce``, not the
 wrappers ``np.max`` and ``np.sum``, and one ``np.errstate`` covers the
-loop.  On fig2 at 292 columns a mixed sweep takes 0.14-0.18 ms and a plain
-one 0.05-0.09 ms (one BLAS thread, a shared 2-vCPU x86-64 VM).
+loop.  On fig2 at 100 columns a mixed sweep takes 0.065-0.072 ms and a
+plain one 0.021-0.026 ms (one BLAS thread, a shared 2-vCPU x86-64 VM).
 """
 
 from __future__ import annotations
@@ -98,9 +98,9 @@ __all__ = [
     "conjugate",
 ]
 
-#: Dirichlet multistart count for the inner maximization when |Y| > 8; for
-#: |Y| <= 8 the seeds are cheap and 288 are drawn
-GAP_RESTARTS = 32
+#: Dirichlet multistart count for the inner maximization, on every alphabet:
+#: at 32, 48 and 64 q* fell short on a product (see TestTensorization)
+GAP_RESTARTS = 96
 #: fixed-point sweeps per seed batch
 GAP_MAX_ITER = 300
 #: convergence tolerance on log g between sweeps
@@ -166,14 +166,11 @@ def _conditional(W: np.ndarray, logG: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _seed_columns(ny: int, seed: int) -> np.ndarray:
     """The multistart columns of log g, not yet normalized: every
-    coordinate indicator, the constant, and Dirichlet draws seeded with
-    ``seed``, 288 of them when |Y| <= 8 and ``GAP_RESTARTS`` otherwise."""
-    rng = np.random.default_rng(seed)
-    cols = [np.full((ny, ny), -np.inf), np.zeros((ny, 1))]
-    np.fill_diagonal(cols[0], 0.0)
-    n_seeds = 288 if ny <= 8 else GAP_RESTARTS
-    cols.append(np.log(rng.dirichlet(np.ones(ny), size=n_seeds).T))
-    return np.concatenate(cols, axis=1)
+    coordinate indicator, the constant, and ``GAP_RESTARTS`` Dirichlet
+    draws seeded with ``seed``."""
+    draws = np.random.default_rng(seed).dirichlet(np.ones(ny), size=GAP_RESTARTS)
+    with np.errstate(divide="ignore"):
+        return np.log(np.concatenate([np.eye(ny), np.ones((ny, 1)), draws.T], axis=1))
 
 
 def _sweeps(kernel, p: float, q: float, logG: np.ndarray):
@@ -181,7 +178,8 @@ def _sweeps(kernel, p: float, q: float, logG: np.ndarray):
     from the columns ``logG``, normalized to ||g||_q = 1, with its
     log ||E[g|X]||_p per column.
 
-    ``normalize`` scales the start, each image of the map and each mix.
+    ``normalize`` scales the start and each mix to ||g||_q = 1; each image
+    of the map, whose column maxima are 0, skips its shift by them.
     The iteration stops once the map moves log g by less than
     ``GAP_CONV_TOL`` or after ``GAP_MAX_ITER`` iterates.  Callers run it
     under ``np.errstate(all="ignore")``; 1 <= q <= p, and at q = 1, where
@@ -194,20 +192,21 @@ def _sweeps(kernel, p: float, q: float, logG: np.ndarray):
         top = np.maximum.reduce(lg, 0)
         return lg - (top + np.log(py @ np.exp(q * (lg - top))) / q)
 
-    hist: list[tuple[np.ndarray, np.ndarray]] = []  # (T(x), f) of the last sweeps
     logG = normalize(logG)
+    older = old = None  # (T(x), f) of the two sweeps before
     for _ in range(GAP_MAX_ITER):
         u, shift = _conditional(W, logG)
         up = u**pm1
         yield logG, np.log(px @ (up * u)) / p + shift
         # any constant factor of a column of m cancels in the normalization
         m = Bt @ up
-        new = normalize(np.log(m / np.maximum.reduce(m, 0)) / qm1)
+        new = np.log(m / np.maximum.reduce(m, 0)) / qm1
+        new -= np.log(py @ np.exp(q * new)) / q
         f = new - logG
         if np.fmax.reduce(np.abs(f), None) < GAP_CONV_TOL:
             return
-        hist = hist[-2:] + [(new, f)]
-        logG = _anderson_step(hist, normalize) if len(hist) == 3 else new
+        logG = new if older is None else _anderson_step((older, old, (new, f)), normalize)
+        older, old = old, (new, f)
 
 
 def _anderson_step(hist, normalize) -> np.ndarray:
@@ -225,16 +224,15 @@ def _anderson_step(hist, normalize) -> np.ndarray:
     """
     (t0, f0), (t1, f1), (t2, f2) = hist
     d = np.array((f1 - f0, f2 - f1, f2))
-    (a00, a01, b0), (_, a11, b1) = np.einsum("iyc,jyc->ijc", d[:2], d)
+    (a00, a01, _), (_, a11, b1) = m = np.einsum("iyc,jyc->ijc", d[:2], d)
     det = a00 * a11 - a01 * a01
-    ok = det > _MIX_MIN_DET * (a00 * a11)
-    if not ok.all():
-        # the one-term mix on df1: with (a00, a01, b0) = (1, 0, 0) the same
-        # formulas give det = a11, g0 = 0 and g1 = b1 / a11
-        one = ~ok
-        a00[one], a01[one], b0[one], det[one] = 1.0, 0.0, 0.0, a11[one]
-        ok = det > 0.0
-        det[~ok] = np.inf
+    two = det > _MIX_MIN_DET * (a00 * a11)
+    # elsewhere the one-term mix on df1: with (a00, a01, b0) = (1, 0, 0) the
+    # same formulas give det = a11, g0 = 0 and g1 = b1 / a11
+    a00, a01, b0 = np.where(two, m[0], ((1.0,), (0.0,), (0.0,)))
+    det = np.where(two, det, a11)
+    ok = det > 0.0
+    det = np.where(ok, det, np.inf)
     g0 = (a11 * b0 - a01 * b1) / det
     g1 = (a00 * b1 - a01 * b0) / det
     mixed = normalize(t2 - g0 * (t1 - t0) - g1 * (t2 - t1))
@@ -248,15 +246,17 @@ def contraction_gap(j: JointDistribution, p: float, q: float, seed: int = 0) -> 
     A value <= 0 means the (p, q) contraction holds empirically.  The
     constant function is always a seed, so the estimate is never negative;
     it is a lower bound on the true supremum (see module docstring).  The
-    Dirichlet seeds, 288 of them when |Y| <= 8 and ``GAP_RESTARTS`` = 32
-    otherwise, are drawn from a generator seeded with ``seed``, which must
-    not be negative.  Each sweep applies the fixed-point map to every seed
-    column and then an Anderson mix of the column's last iterates, two-term
-    or, where the residual differences are parallel, one-term, renormalized
-    to ||g||_q = 1; the gap is the largest seen at any iterate, and since every
-    iterate is a feasible g it stays a lower bound.  The sweeps stop once the
-    map moves log g by less than ``GAP_CONV_TOL`` or after ``GAP_MAX_ITER``
-    of them, whichever comes first.
+    ``GAP_RESTARTS`` = 96 Dirichlet seeds are drawn from a generator seeded
+    with ``seed``, which must not be negative.  Until one count served every
+    alphabet, |Y| <= 8 drew 288 and wider ones 32, so these estimates moved,
+    as did q_star and in_ribbon, which sweep the same seeds.  Each sweep
+    applies the fixed-point map to every seed column and then an Anderson
+    mix of the column's last iterates, two-term or, where the residual
+    differences are parallel, one-term, renormalized to ||g||_q = 1; the
+    gap is the largest seen at any iterate, and since every iterate is a
+    feasible g it stays a lower bound.  The sweeps stop once the map moves
+    log g by less than ``GAP_CONV_TOL`` or after ``GAP_MAX_ITER`` of them,
+    whichever comes first.
 
     Special cases solved exactly: p = 1 gives 0 (both norms are E[g]); q = 1
     makes the feasible set { g >= 0, E[g] = 1 } with a convex objective, so
@@ -289,9 +289,8 @@ def in_ribbon(j: JointDistribution, p: float, q: float, seed: int = 0) -> bool:
     below q*, where the gap opens only at second order: a 1e-9 test read
     "in" at 13 of 120 points within 1e-5 (q* - 1) below q* (fig2, remark3
     and six seeded joints up to 4x4, p = 1.5, 4 and 32), each one outside
-    by q_star's witness.  A call costs one climb, about 3 ms on those
-    joints, against about 0.4 ms for an early-stopped sweep run at (p, q);
-    p must lie in [1, ``QSTAR_MAX_P``], as in q_star.
+    by q_star's witness.  A call costs one climb, about 2 ms on those
+    joints; p must lie in [1, ``QSTAR_MAX_P``], as in q_star.
     """
     p, q = _check_orders(p, q)
     return q >= q_star(j, p, seed=seed)
