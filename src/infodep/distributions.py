@@ -60,7 +60,7 @@ INGEST_ATOL = 1e-9
 #: slack below zero treated as rounding noise rather than a negative entry
 NEG_ATOL = 1e-12
 #: the most symbols an alphabet of a joint distribution or channel may have:
-#: a q* probe alone holds |X| |Y| (|Y| + 33) floats per array once |Y| > 8
+#: each array of a q* sweep holds |X| or |Y| times |Y| + 97 floats
 MAX_ALPHABET = 64
 
 

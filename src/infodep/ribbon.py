@@ -53,9 +53,9 @@ a fixed g >= 0, ||g||_q is nondecreasing in q, so a g with
 q_g, where the two norms meet: q* >= q_g, and q_g <= p by conditional
 Jensen.  From the floor 1 + rho^2 (p - 1), under which no point of the
 ribbon lies (Ahlswede & Gacs 1976), q_star runs the sweeps at q_k,
-warm-started from the columns of q_(k-1), and a few sweeps after the first
-column whose gap exceeds ``_WITNESS_GAP`` it moves to the largest crossing
-of those columns (see ``_CRAWL_RATIO``).  A column's crossing is the root
+warm-started from the columns of q_(k-1), and ``_WITNESS_EXTRA`` sweeps
+after the first column whose gap exceeds ``_WITNESS_GAP`` it moves to the
+largest crossing of those columns.  A column's crossing is the root
 of f(q) = log E[g^q] - q log ||E[g|X]||_p, convex because log E[g^q] is a
 log-moment generating function, so Newton's method from the root of the
 tangent at q_k descends to it from above without passing it
@@ -116,15 +116,15 @@ _MIX_MIN_DET = 1e-12
 #: a column whose gap exceeds this witnesses q* above the q of its sweeps;
 #: 1e4 ulps of the norm near 1 that it is read from
 _WITNESS_GAP = 1e-12
-#: sweeps run after the first witness before q_star's first move to a
-#: crossing: two more let the Anderson mix engage, while with none or one the
-#: outer steps crawl (hundreds per q* on the ribbon benchmark's inputs)
+#: sweeps each of q_star's runs takes after its first witness before it
+#: moves to a crossing: two let the Anderson mix engage.  A ribbon benchmark
+#: round (seed 424242) ran 230 sweeps at 2, and 1631, 2134, 292, 381 and 485
+#: at 0, 1, 4, 8 and 16: at 0 and 1 the outer steps crawl to the cap, and
+#: from 4 up the runs go on past what the moves need
 _WITNESS_EXTRA = 2
-#: a move longer than this share of the one before is a crawl, and doubles
-#: the sweeps that the next run takes after its first witness
-_CRAWL_RATIO = 0.25
-#: cap on q_star's outer steps (at most 6 on the ribbon benchmark's inputs,
-#: and 9 on 145 flat- and sparse-Dirichlet joints up to 7x11)
+#: cap on q_star's outer steps (at most 8 on the ribbon benchmark's inputs
+#: over 33 seeds, and 18 on 40 flat- and sparse-Dirichlet joints up to 5x8
+#: at p from 1.05 to 128)
 _QSTAR_MAX_STEPS = 100
 #: cap on the Newton steps of one crossing solve
 _CROSSING_MAX_ITER = 60
@@ -247,16 +247,14 @@ def contraction_gap(j: JointDistribution, p: float, q: float, seed: int = 0) -> 
     constant function is always a seed, so the estimate is never negative;
     it is a lower bound on the true supremum (see module docstring).  The
     ``GAP_RESTARTS`` = 96 Dirichlet seeds are drawn from a generator seeded
-    with ``seed``, which must not be negative.  Until one count served every
-    alphabet, |Y| <= 8 drew 288 and wider ones 32, so these estimates moved,
-    as did q_star and in_ribbon, which sweep the same seeds.  Each sweep
-    applies the fixed-point map to every seed column and then an Anderson
-    mix of the column's last iterates, two-term or, where the residual
-    differences are parallel, one-term, renormalized to ||g||_q = 1; the
-    gap is the largest seen at any iterate, and since every iterate is a
-    feasible g it stays a lower bound.  The sweeps stop once the map moves
-    log g by less than ``GAP_CONV_TOL`` or after ``GAP_MAX_ITER`` of them,
-    whichever comes first.
+    with ``seed``, which must not be negative.  Each sweep applies the
+    fixed-point map to every seed column and then an Anderson mix of the
+    column's last iterates, two-term or, where the residual differences are
+    parallel, one-term, renormalized to ||g||_q = 1; the gap is the largest
+    seen at any iterate, and since every iterate is a feasible g it stays a
+    lower bound.  The sweeps stop once the map moves log g by less than
+    ``GAP_CONV_TOL`` or after ``GAP_MAX_ITER`` of them, whichever comes
+    first.
 
     Special cases solved exactly: p = 1 gives 0 (both norms are E[g]); q = 1
     makes the feasible set { g >= 0, E[g] = 1 } with a convex objective, so
@@ -360,7 +358,6 @@ def _q_star(
     kernel = _kernel(j)
     log_above = math.log1p(_WITNESS_GAP)
     witness, steps, total = None, 0, 0
-    extra, last_move = _WITNESS_EXTRA, math.inf
     with np.errstate(all="ignore"):
         logG = _seed_columns(j.shape[1], seed)
         while steps < _QSTAR_MAX_STEPS:
@@ -371,7 +368,7 @@ def _q_star(
                 if np.logical_or.reduce(above):
                     found = logG[:, above], log_norms[above]
                     first = sweep if first is None else first
-                if first is not None and sweep - first >= extra:
+                if first is not None and sweep - first >= _WITNESS_EXTRA:
                     break
             total += sweep + 1
             if found is None:
@@ -379,9 +376,7 @@ def _q_star(
             cross, best = _crossing(*found, kernel[3], q, p)
             if cross <= q:
                 break
-            if cross - q > _CRAWL_RATIO * last_move:
-                extra *= 2
-            q, witness, last_move = cross, found[0][:, best], cross - q
+            q, witness = cross, found[0][:, best]
             if q >= p:
                 break
     return q, witness, steps, total

@@ -152,10 +152,10 @@ class SStarResult:
     diagnostics: dict
 
 
-def kl_ratio(j: JointDistribution, r: PMF, base: LogBase = LogBase.BITS) -> float:
+def kl_ratio(j: JointDistribution, r: PMF) -> float:
     """D(r_Y || p_Y) / D(r || p_X), the objective of the s* supremum.
 
-    The ratio is invariant to the log base.  Inputs with
+    The ratio does not depend on the log base, so it takes none.  Inputs with
     D(r || p_X) < 1e-12 nats are rejected as indistinguishable from p(x),
     and numerators below the float noise floor report a ratio of exactly 0.
     """
@@ -171,8 +171,8 @@ def kl_ratio(j: JointDistribution, r: PMF, base: LogBase = LogBase.BITS) -> floa
 
 
 def _ratio_terms(R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray):
-    """Ratio values, channel outputs W^T R, numerators, denominators and the
-    in-domain mask of the input columns R, divergences in nats.
+    """Ratio values, channel outputs W^T R, numerators and denominators of
+    the input columns R, divergences in nats.
 
     Columns inside the excluded neighborhood of px get value -inf; columns
     whose numerator sits below the float noise floor get the honest value 0.
@@ -181,9 +181,8 @@ def _ratio_terms(R: np.ndarray, W: np.ndarray, px: np.ndarray, py: np.ndarray):
     RY = W.T @ R
     den = np.add.reduce(_kl_terms(R, px[:, None]), 0)
     num = np.add.reduce(_kl_terms(RY, py[:, None]), 0)
-    ok = den > SEARCH_EXCLUSION
     ratios = np.where(num < NUM_NOISE_FLOOR, 0.0, num / np.maximum(den, 1e-300))
-    return np.where(ok, ratios, -np.inf), RY, num, den, ok
+    return np.where(den > SEARCH_EXCLUSION, ratios, -np.inf), RY, num, den
 
 
 def _ratio_at(
@@ -194,7 +193,7 @@ def _ratio_at(
     A numerator below ``NUM_NOISE_FLOOR`` gives 0; otherwise the value is
     clamped to [0, 1], the range of the true ratio.
     """
-    _, _, num, den, _ = _ratio_terms(r[:, None], W, px, py)
+    _, _, num, den = _ratio_terms(r[:, None], W, px, py)
     num, den = float(num[0]), float(den[0])
     if num < NUM_NOISE_FLOOR:
         return 0.0, den
@@ -206,17 +205,17 @@ def _batch_gradient(
 ) -> np.ndarray:
     """Ratio gradients at the input columns R.
 
-    ``terms`` are the outputs W^T R and the numerators, denominators and
-    in-domain mask that :func:`_ratio_terms` gave for R.  Columns inside the
-    excluded neighborhood of px get a zero gradient.  Log arguments are
-    floored at 1e-300 so boundary columns produce large finite subgradient
-    components instead of nan.
+    ``terms`` are the outputs W^T R, numerators and denominators that
+    :func:`_ratio_terms` gave for R.  Columns inside the excluded
+    neighborhood of px get a zero gradient.  Log arguments are floored at
+    1e-300 so boundary columns produce large finite subgradient components
+    instead of nan.
     """
-    RY, num, den, ok = terms
+    RY, num, den = terms
     g_num = W @ (np.log(np.maximum(RY, 1e-300) / py[:, None]) + 1.0)
     g_den = np.log(np.maximum(R, 1e-300) / px[:, None]) + 1.0
     grad = (den * g_num - num * g_den) / np.maximum(den**2, 1e-300)
-    return np.where(ok, grad, 0.0)
+    return np.where(den > SEARCH_EXCLUSION, grad, 0.0)
 
 
 def _candidate_points(
@@ -280,7 +279,7 @@ def _newton_finish(
             if trial.min() > 0.0:
                 cand = np.zeros_like(r)
                 cand[s] = trial / trial.sum()
-                cand_val, _, _, cand_den, _ = _ratio_terms(cand[:, None], W, px, py)
+                cand_val, _, _, cand_den = _ratio_terms(cand[:, None], W, px, py)
                 if cand_val[0] > value or 0.0 < model_gain <= NEWTON_EXACT_GAIN:
                     break
         else:  # no step along the Newton direction raises the ratio
@@ -348,11 +347,11 @@ def sstar(
     rng = np.random.default_rng(seed)
 
     R = _candidate_points(j, rng, restarts)
-    vals, RY, num, den, ok = _ratio_terms(R, W, px, py)
+    vals, RY, num, den = _ratio_terms(R, W, px, py)
     n_candidates = R.shape[1]
 
     keep = np.argsort(-vals)[: max(restarts + nx + 8, 32)]
-    R, RY, best_vals, num, den, ok = R[:, keep], RY[:, keep], vals[keep], num[keep], den[keep], ok[keep]
+    R, RY, best_vals, num, den = R[:, keep], RY[:, keep], vals[keep], num[keep], den[keep]
 
     alphas = 4.0 * 0.5 ** np.arange(14)
     act = np.arange(R.shape[1])
@@ -367,7 +366,7 @@ def sstar(
             n = act.shape[0]
             row_sweeps += n
             Ra = R[:, act]
-            grad = _batch_gradient(Ra, W, px, py, (RY[:, act], num[act], den[act], ok[act]))
+            grad = _batch_gradient(Ra, W, px, py, (RY[:, act], num[act], den[act]))
             # d: the gradient centred under r, scaled to max |d| = 1 on r's
             # support; off it d is 0, or the huge log terms there would set the scale
             d = np.where(Ra > 0.0, grad - np.add.reduce(Ra * grad, 0), 0.0)
@@ -376,7 +375,7 @@ def sstar(
             steps = Ra[:, None, :] * np.exp(alphas[:, None] * d[:, None, :])
             steps /= np.add.reduce(steps, 0)
             S = steps.reshape(nx, -1)
-            s_vals, SY, s_num, s_den, s_ok = _ratio_terms(S, W, px, py)
+            s_vals, SY, s_num, s_den = _ratio_terms(S, W, px, py)
             cols = s_vals.reshape(alphas.size, n).argmax(0) * n + np.arange(n)
             scale = np.maximum(1.0, np.abs(best_vals[act]))
             gain = s_vals[cols] - best_vals[act]
@@ -391,7 +390,7 @@ def sstar(
             crawl = np.logical_and.reduce(gain[improved] <= HANDOFF_GAIN * scale[improved])
             act = act[improved]
             R[:, act], RY[:, act], best_vals[act] = S[:, cols], SY[:, cols], s_vals[cols]
-            num[act], den[act], ok[act] = s_num[cols], s_den[cols], s_ok[cols]
+            num[act], den[act] = s_num[cols], s_den[cols]
             if crawl and not handoff:
                 handoff = sweeps
                 i = _leader(best_vals, den)
@@ -456,7 +455,7 @@ def ratio_for_u(
     scale = base.from_nats
     px, py = j.px, j.py
     W = j.pxy / px[:, None]
-    _, Ry, num, den, _ = _ratio_terms(Rx.T, W, px, py)
+    _, Ry, num, den = _ratio_terms(Rx.T, W, px, py)
     i_ux = float(w @ den) * scale
     i_uy = float(w @ num) * scale
 

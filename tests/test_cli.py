@@ -81,6 +81,38 @@ class TestInfo:
         assert code == 2
         assert "error:" in err
 
+    def test_out_of_range_builtin_parameter_exits_2(self, capsys):
+        code, out, err = run(capsys, "info", "bsc:2")
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "[0, 1]" in err
+
+    def test_unknown_builtin_is_refused_with_exit_code_2(self):
+        # the CLI reads a token that names no built-in as a file path, so
+        # only a library call reaches this refusal
+        with pytest.raises(errors.ParseError, match="unknown built-in") as exc:
+            builtin("fig3")
+        assert exc.value.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "doc, says",
+        [
+            ([[0.5, 0.5]], "top level"),
+            ({"x_labels": "ab", "y_labels": [0, 1], "pxy": [[0.5, 0.0], [0.0, 0.5]]},
+             "must be lists"),
+            ({"x_labels": [0, 1], "y_labels": [0, 1], "pxy": [[0.5, 0.0], {"0": 0.5}]},
+             "list of rows"),
+            ({"x_labels": [0, 1], "y_labels": [0, 1], "pxy": [[0.5, 0.0], [True, 0.5]]},
+             "number or fraction"),
+        ],
+        ids=["top-level list", "labels not a list", "row not a list", "true entry"],
+    )
+    def test_refused_json_exits_2(self, capsys, tmp_path, doc, says):
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error:") and says in err
+
     def test_version_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -89,7 +89,12 @@ bits), and +7.0e-16 and +2.6e-13 (the 2x9).  The gaps moved by -1.2e-14
 (fig2 at (128, 64)) and -2.6e-16 (the 3x3 at (4, 2)), and the three
 near-zero gaps went from 4.1e-17 to 2.2e-17 (remark3 at (128, 100)),
 1.5e-16 to 1.3e-16 (the 3x3 at (128, 120)) and 5.3e-17 to 8.5e-17 (the
-2x9 at (128, 90)), under one ulp of 1.  They are float64 results of
+2x9 at (128, 90)), under one ulp of 1.  Four q* were re-recorded when
+every run of the climb began to end two sweeps after its first witness,
+where a long move had doubled that count for the runs after it: the
+climbs take other steps to other witnesses.  They moved, relative, by
++1.0e-10 (fig2 at p = 4), -5.1e-12 (the 3x3 at p = 1.5), and -5.0e-13 and
+-3.8e-11 (the 2x9 at p = 1.5, 4).  They are float64 results of
 numpy 2.4 on an x86-64 CPU with AVX-512; another math library may round
 them differently.
 """
@@ -203,16 +208,16 @@ LAMBDA_DAGGER_PINNED = {
 #: (2x9, 4, 2.5) move when the update divides by p or q - 1 in another way
 RIBBON_PINNED = {
     ("fig2", 1.5, None): "0x1.4d4bf819fae8cp+0",
-    ("fig2", 4.0, None): "0x1.66c87d4a6b598p+1",
+    ("fig2", 4.0, None): "0x1.66c87d4b06623p+1",
     ("fig2", 32.0, None): "0x1.44a133b759633p+4",
     ("remark3", 1.5, None): "0x1.03a7291ab779fp+0",
     ("remark3", 4.0, None): "0x1.14b0408ef6e74p+0",
     ("remark3", 32.0, None): "0x1.26dd4c8efb119p+1",
-    ("seeded 3x3", 1.5, None): "0x1.5afededd04486p+0",
+    ("seeded 3x3", 1.5, None): "0x1.5afededcfca10p+0",
     ("seeded 3x3", 4.0, None): "0x1.8f11d14268588p+1",
     ("seeded 3x3", 32.0, None): "0x1.7084d890e93c8p+4",
-    ("seeded 2x9", 1.5, None): "0x1.448d8223d23b1p+0",
-    ("seeded 2x9", 4.0, None): "0x1.496eacb3df44bp+1",
+    ("seeded 2x9", 1.5, None): "0x1.448d8223d187ep+0",
+    ("seeded 2x9", 4.0, None): "0x1.496eacb3a8ed5p+1",
     ("fig2", 2.0, 1.5): "0x1.0fe5ef6f6fe1cp-6",
     ("fig2", 4.0, 1.0): "0x1.5d13f32b5a75cp-1",
     ("fig2", 128.0, 64.0): "0x1.77c8c86136d22p-10",

@@ -34,6 +34,8 @@ from infodep.ribbon import (
     GAP_MAX_ITER,
     GAP_RESTARTS,
     QSTAR_MAX_P,
+    _WITNESS_EXTRA,
+    _WITNESS_GAP,
     _anderson_step,
     _conditional,
     _crossing,
@@ -366,6 +368,24 @@ class TestSweepCount:
     def test_binary_alphabet_converges(self, fig2, remark3):
         assert _q_star(remark3, 4.0, seed=0)[3] == 22
         assert len(_sweep_gaps(fig2, 128.0, 80.0)) == 26
+
+    def test_each_run_ends_a_fixed_count_after_its_first_witness(self, fig2, monkeypatch):
+        # a run whose count doubled after a long move would end 4 or 8
+        # sweeps after its witness here
+        runs = []
+
+        def record(*args):
+            runs.append([])
+            for it in _sweeps(*args):
+                runs[-1].append(bool(np.logical_or.reduce(it[1] > math.log1p(_WITNESS_GAP))))
+                yield it
+
+        monkeypatch.setattr("infodep.ribbon._sweeps", record)
+        _, _, steps, sweeps = _q_star(fig2, 4.0, seed=0)
+        assert (len(runs), sum(map(len, runs))) == (steps, sweeps) == (7, 36)
+        for run in runs[:-1]:
+            assert len(run) - 1 - run.index(True) == _WITNESS_EXTRA
+        assert not any(runs[-1])
 
     def test_exact_cases_run_no_sweep(self, fig2, monkeypatch):
         # q = 1 reads the first iterate from the indicators, and p = 1 not even that

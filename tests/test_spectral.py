@@ -233,6 +233,9 @@ class TestHessianRhoLambda:
     def test_independent(self, independent):
         assert hessian_rho_lambda(independent) == pytest.approx(0.0, abs=1e-9)
 
+    def test_single_symbol_input_is_zero(self):
+        assert hessian_rho_lambda(joint_from_matrix([[0.3, 0.7]], (0,), (0, 1))) == 0.0
+
     def test_equals_rho_squared_random(self):
         rng = np.random.default_rng(6)
         for _ in range(40):

@@ -183,6 +183,13 @@ class TestSstar:
         assert res.diagnostics.keys() == sstar(fig2).diagnostics.keys()
         assert res.diagnostics["handoff_sweep"] == 0
 
+    def test_single_symbol_output_gives_zero(self):
+        # no witness ray (rho is undefined), and every input's output is the
+        # one symbol, so every candidate's numerator is 0
+        res = sstar(joint_from_matrix([[0.3], [0.7]], (0, 1), (0,)))
+        assert res.value == 0.0
+        assert res.diagnostics["converged"] is True
+
     def test_row_sweeps_count_only_active_starts(self, remark3):
         table = np.random.default_rng(4).dirichlet(np.ones(16)).reshape(4, 4)
         j = product(remark3, joint_from_matrix(table, tuple(range(4)), tuple(range(4))))
