@@ -44,7 +44,7 @@ from .distributions import (
     product,
     transpose,
 )
-from .errors import InfodepError, ValidationError
+from .errors import InfodepError, ParseError, ValidationError
 from .ribbon import QSTAR_MAX_P, q_star_curve
 from .spectral import binary_rho_squared, maximal_correlation
 from .sstar import binary_u_from_conditionals, ratio_for_u, sstar
@@ -95,9 +95,15 @@ class ReportDocument:
 
 
 def _resolve(token: str) -> JointDistribution:
+    """The built-in of that name, else the JSON file at that path."""
     if is_builtin(token):
         return builtin(token)
-    return load_joint_json(token)
+    try:
+        return load_joint_json(token)
+    except FileNotFoundError:
+        raise ParseError(
+            f"{token!r}: no such file, and not a built-in name ({BUILTIN_HELP})"
+        ) from None
 
 
 def _echo_inputs(token: str, j: JointDistribution) -> dict:

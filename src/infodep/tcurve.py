@@ -12,9 +12,11 @@ This module evaluates the curve, its Hessian on the simplex tangent space,
 the lower convex envelope over a 1-D grid (binary inputs), and the envelope
 touch threshold ``lambda_dagger``, exact on the grid.  The envelope is a
 monotone-chain scan of the whole grid; ``lambda_dagger`` reads only the one
-hull chord over p(x), which it finds by alternating tangents, and the scan
-stays its independent check.  The module also scans binary input
-distributions to compare max-over-inputs of rho^2 and of s*, which agree.
+hull chord over p(x), which it finds by alternating tangents, and
+``touches_envelope`` is lambda >= lambda_dagger.  The tests keep the scan's
+gap at p(x) as an independent check of the threshold.  The module also
+scans binary input distributions to compare max-over-inputs of rho^2 and of
+s*, which agree.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .distributions import (
 )
 from .errors import (
     BoundaryPoint,
+    LabelMismatch,
     LambdaOutOfRange,
     NotBinaryInput,
     NumericalError,
@@ -60,8 +63,6 @@ ENVELOPE_GRID_N = 2**12
 #: the most grid intervals envelope work accepts: its arrays hold a few
 #: floats per interval and output symbol
 MAX_GRID_N = 2**20
-#: default gap tolerance, in bits, for declaring an envelope touch
-TOUCH_TOL = 1e-12
 #: intervals of the P(X=0) grid that scan_inputs sweeps
 SCAN_GRID_N = 128
 #: alternations of _bracket's tangent search before it gives up loudly
@@ -109,7 +110,7 @@ def hessian_t_lambda(c: Channel, r: PMF, lam: float) -> np.ndarray:
     only: a zero coordinate of r raises :class:`BoundaryPoint`.
     """
     if r.labels != c.x_labels:
-        raise ValidationError("r is not on the channel input alphabet")
+        raise LabelMismatch("r is not on the channel input alphabet")
     rx = r.probs
     if rx.min() <= 0.0:
         raise BoundaryPoint("Hessian needs a strictly positive input point")
@@ -232,20 +233,11 @@ def lower_envelope_1d(c: Channel, lam: float, grid_n: int = ENVELOPE_GRID_N) -> 
     return Envelope1D(p0, curve, hull)
 
 
-def touches_envelope(
-    c: Channel,
-    lam: float,
-    tol: float = TOUCH_TOL,
-    grid_n: int = ENVELOPE_GRID_N,
-) -> bool:
-    """Whether curve and envelope meet at the channel's reference input.
-
-    True iff curve - hull <= tol (bits) at the grid point nearest
-    P(X=0) = c.input.probs[0].
-    """
-    env = lower_envelope_1d(c, lam, grid_n)
-    i = int(np.argmin(np.abs(env.grid - c.input.probs[0])))
-    return bool(env.curve[i] - env.hull[i] <= tol)
+def touches_envelope(c: Channel, lam: float, grid_n: int = ENVELOPE_GRID_N) -> bool:
+    """Whether t_lambda touches its lower envelope at the channel's reference
+    input: lambda >= :func:`lambda_dagger`, on the same grid and with its
+    refusal of an input the grid cannot resolve."""
+    return _check_lambda(lam) >= lambda_dagger(c, grid_n)
 
 
 def lambda_dagger(c: Channel, grid_n: int = ENVELOPE_GRID_N) -> float:
@@ -263,6 +255,11 @@ def lambda_dagger(c: Channel, grid_n: int = ENVELOPE_GRID_N) -> float:
     data-processing constant s*(X;Y) of the channel at its reference input
     up to the grid's resolution.
 
+    The grid ends are always hull vertices, so an input whose nearest grid
+    point is a grid end, P(X=0) within half a grid step of 0 or 1, would
+    read rho^2 whatever the channel: it raises :class:`ValidationError`
+    instead.
+
     Each step finds that chord by alternating tangents (:func:`_bracket`)
     rather than by scanning the whole hull: the line through a pair (a, b)
     that neither tangent step moves lies on or below every grid point but i,
@@ -271,6 +268,13 @@ def lambda_dagger(c: Channel, grid_n: int = ENVELOPE_GRID_N) -> float:
     """
     p0, hy, hx = _entropy_grid(c, grid_n)
     i = int(np.argmin(np.abs(p0 - c.input.probs[0])))
+    n = p0.shape[0] - 1
+    if not 0 < i < n:
+        raise ValidationError(
+            f"P(X=0) = {float(c.input.probs[0])!r} is within half a grid step "
+            f"(1/grid_n = {1.0 / n:.3g}) of a grid end: grid_n = {n} cannot "
+            "resolve it"
+        )
     j = _reachable_joint(c.input.probs, c.pyx)
     lam = 0.0 if j is None else binary_rho_squared(j)
     while True:

@@ -12,6 +12,7 @@ import pytest
 
 import infodep
 from infodep import builtin, errors, sstar
+from infodep.catalog import BUILTIN_HELP
 from infodep.cli import RIBBON_MAX_STEPS, main
 from infodep.distributions import MAX_ALPHABET
 from infodep.sstar import MAX_RESTARTS
@@ -86,12 +87,23 @@ class TestInfo:
         assert code == 2
         assert out == "" and err.startswith("error:") and "[0, 1]" in err
 
-    def test_unknown_builtin_is_refused_with_exit_code_2(self):
-        # the CLI reads a token that names no built-in as a file path, so
-        # only a library call reaches this refusal
+    def test_unknown_builtin_is_refused_with_exit_code_2(self, capsys):
+        # a token that is neither a file nor a built-in gets one error that
+        # says both
+        for token in ("fig3", "bsc3:0.1"):
+            code, out, err = run(capsys, "info", token)
+            assert code == 2 and out == ""
+            assert f"{token!r}: no such file, and not a built-in name" in err
+            assert BUILTIN_HELP in err
         with pytest.raises(errors.ParseError, match="unknown built-in") as exc:
             builtin("fig3")
         assert exc.value.exit_code == 2
+
+    def test_builtin_name_takes_precedence_over_file(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "fig2").write_text("not json")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "info", "fig2")
+        assert code == 0 and "shape: 2x3" in out
 
     @pytest.mark.parametrize(
         "doc, says",
@@ -164,6 +176,21 @@ class TestMeasures:
         code, out, err = run(capsys, "measures", "remark3", "--base", "nats")
         assert code == 0
         assert "mutual_information_nats: 0.0144929192" in out
+
+    def test_input_at_grid_end_exits_2(self, capsys, tmp_path):
+        # P(X=0) = 1e-5 is within half a grid step of 0, where lambda-dagger
+        # would read rho^2 off the grid end
+        path = tmp_path / "skewed.json"
+        doc = {
+            "x_labels": [0, 1],
+            "y_labels": [0, 1, 2],
+            "pxy": [["1/500000", "3/1000000", "1/200000"],
+                    ["599994/1000000", "299997/1000000", "99999/1000000"]],
+        }
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "measures", str(path))
+        assert code == 2 and out == ""
+        assert "P(X=0) = 1e-05" in err and "grid_n = 4096" in err
 
     def test_wide_joint_skips_lambda_dagger(self, capsys, tmp_path):
         path = tmp_path / "wide.json"
