@@ -48,7 +48,7 @@ from .errors import InfodepError, ParseError, ValidationError
 from .ribbon import QSTAR_MAX_P, q_star_curve
 from .spectral import binary_rho_squared, maximal_correlation
 from .sstar import binary_u_from_conditionals, ratio_for_u, sstar
-from .tcurve import ENVELOPE_GRID_N, lambda_dagger, lower_envelope_1d
+from .tcurve import ENVELOPE_GRID_N, _input_grid_index, lambda_dagger, lower_envelope_1d
 
 __all__ = ["ReportDocument", "main", "entry"]
 
@@ -203,6 +203,7 @@ def cmd_tcurve(args) -> int:
     j = _resolve(args.source)
     c = channel_of(j)
     env = lower_envelope_1d(c, args.lam, args.grid)
+    i = _input_grid_index(env.grid, c.input.probs[0])
     csv = ["p0,t_lambda,envelope"]
     csv += [
         f"{_fmt(p)},{_fmt(cv)},{_fmt(h)}"
@@ -210,7 +211,6 @@ def cmd_tcurve(args) -> int:
     ]
     _emit("\n".join(csv) + "\n", args.out)
     if args.out is not None:
-        i = int(np.argmin(np.abs(env.grid - c.input.probs[0])))
         print(f"source: {args.source}")
         print(f"lambda: {_fmt(args.lam)}")
         print(f"rows: {env.grid.shape[0]}")

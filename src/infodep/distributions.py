@@ -297,7 +297,7 @@ def _kl_terms(r: np.ndarray, p: np.ndarray) -> np.ndarray:
         terms -= d
         terms[t == 0.0] = 1.0
         terms *= p
-    if p.all():
+    if np.logical_and.reduce(p, None):
         return terms
     return np.where(p > 0.0, terms, np.where(r > 0.0, np.inf, 0.0))
 

@@ -85,10 +85,14 @@ RAY_START, RAY_POINTS = 6.5e-5, 20
 #: Newton finish: step budget; condition number above which the ratio is
 #: flat along the face; model gain too small for the ratio to judge
 NEWTON_STEPS, NEWTON_MAX_COND, NEWTON_EXACT_GAIN = 8, 1e8, 1e-12
-#: handoff: the first time every start that improved in a sweep gained at
-#: most HANDOFF_GAIN relative, the ascent is a first-order crawl and Newton
-#: finishes the leader once; if that finish does not end the ascent, the
-#: ascent runs on to its own end
+#: handoff: the first time every start that improved in a sweep either gained
+#: at most HANDOFF_GAIN relative or cannot reach the leader at that gain in
+#: the sweeps left, the ascent is a first-order crawl and Newton finishes the
+#: leader once; if that finish does not end the ascent, the ascent runs on to
+#: its own end.  The reach rule is linear on purpose: extrapolating each
+#: start's gain geometrically lost 3e-4 on a random 3x4 and sent J x J to the
+#: sweep cap, and retiring the starts that cannot reach the leader lost 1.7e-6
+#: on a random 4x2, since a start's gain can grow
 HANDOFF_GAIN = 1e-5
 #: the kernel rounds each divergence to ~1e-16/|t - 1| relative, t = r/p (see
 #: ``distributions._kl_terms``), so a ratio of two is good to about
@@ -227,11 +231,12 @@ def _candidate_points(
     blocks = [np.eye(nx)]
     try:
         f = maximal_correlation(j).f
-        for s in (1.0, -1.0):
-            # p(x) (1 + t s f) reaches the simplex boundary at t = 1/max(-s f)
-            t = np.geomspace(RAY_START, 1.0 / np.max(-s * f), RAY_POINTS)
-            ray = np.maximum(px[:, None] * (1.0 + s * t * f[:, None]), 0.0)
-            blocks.append(ray / np.add.reduce(ray, 0))
+        # p(x) (1 + s t f) reaches the simplex boundary at t = 1/max(-s f);
+        # one column of t per sign s = +1, -1
+        t = np.geomspace(RAY_START, 1.0 / np.array([np.max(-f), np.max(f)]), RAY_POINTS)
+        st = np.concatenate([t[:, 0], -t[:, 1]])
+        ray = np.maximum(px[:, None] * (1.0 + st * f[:, None]), 0.0)
+        blocks.append(ray / np.add.reduce(ray, 0))
     except DegenerateAlphabet:
         pass
     blocks.append(rng.dirichlet(np.ones(nx), size=restarts).T)
@@ -258,6 +263,9 @@ def _newton_finish(
     onto the face."""
     s = r > 0.0
     Ws, pxs = W[s], px[s]
+    m = Ws.shape[0]
+    # the Newton system, bordered by rs with a zero corner, and its right side
+    K, rhs = np.zeros((m + 1, m + 1)), np.zeros(m + 1)
     stationary = False
     for k in range(NEWTON_STEPS + 1):
         rs = r[s]
@@ -268,11 +276,13 @@ def _newton_finish(
             break
         # solved for step / rs, which small entries of r cannot ill-condition
         M = rs[:, None] * Ws
-        K = np.block([[(M / ry) @ M.T - np.diag(value * rs), rs[:, None]], [rs, 0.0]])
-        if rs.size < 2 or np.linalg.cond(K) > NEWTON_MAX_COND:
+        K[:m, :m] = (M / ry) @ M.T - np.diag(value * rs)
+        K[:m, m] = K[m, :m] = rs
+        if m < 2 or np.linalg.cond(K) > NEWTON_MAX_COND:
             stationary = True
             break
-        step = rs * np.linalg.solve(K, np.append(-rs * g, 0.0))[:-1]
+        rhs[:m] = -rs * g
+        step = rs * np.linalg.solve(K, rhs)[:m]
         model_gain = 0.5 * float(g @ step) / den
         for t in 0.5 ** np.arange(40):
             trial = rs + t * step
@@ -308,14 +318,20 @@ def sstar(
     The ratio terms a sweep computes for the steps it accepts (outputs,
     numerators, denominators) give the next sweep's gradients.
 
-    The first time every start that improved in a sweep gained at most
-    ``HANDOFF_GAIN`` relative, the ascent has become a first-order crawl and
-    Dinkelbach-Newton steps finish the leader on its face
-    (``diagnostics["handoff_sweep"]`` is that sweep, 0 if none).  If they end
-    stationary at a value no active start exceeds, that point ends the
-    ascent; otherwise the ascent goes on without another try.  The ascent
-    also ends when no start improves by more than ``ASCENT_TOL`` relative,
-    or after ``max_iter`` sweeps; Newton steps then finish the leader.  The
+    The first time every start that improved in a sweep either gained at
+    most ``HANDOFF_GAIN`` relative or cannot reach the leader, its value plus
+    its gain times the sweeps left still below the leader's, the ascent has
+    become a first-order crawl and Dinkelbach-Newton steps finish the leader
+    on its face (``diagnostics["handoff_sweep"]`` is that sweep, 0 if none).
+    If they end stationary at a value no active start exceeds, that point
+    ends the ascent; otherwise the ascent goes on without another try.  The
+    reach rule is a heuristic, since a start's gain can grow and carry it
+    past the leader after all; such a start stays active, so when the finish
+    does not end the ascent it runs on.  Two stronger rules lose answers and
+    are not used: extrapolating each start's gain geometrically, and retiring
+    the starts that cannot reach the leader.  The ascent also ends when no
+    start improves by more than ``ASCENT_TOL`` relative, or after
+    ``max_iter`` sweeps; Newton steps then finish the leader.  The
     leader is the best start, or among starts tied with it within the
     ratio's rounding (``TIE_ULPS``) the one farthest from p(x).
     ``diagnostics["converged"]`` is False when the sweep cap ended the
@@ -351,10 +367,13 @@ def sstar(
     n_candidates = R.shape[1]
 
     keep = np.argsort(-vals)[: max(restarts + nx + 8, 32)]
-    R, RY, best_vals, num, den = R[:, keep], RY[:, keep], vals[keep], num[keep], den[keep]
+    R, best_vals, den = R[:, keep], vals[keep], den[keep]
 
     alphas = 4.0 * 0.5 ** np.arange(14)
     act = np.arange(R.shape[1])
+    # the active starts' points, outputs, values, numerators and denominators;
+    # R, best_vals and den hold every start's state as of its retirement
+    Ra, RYa, va, numa, dena = R, RY[:, keep], best_vals, num[keep], den
     sweeps = 0
     row_sweeps = 0
     handoff = 0
@@ -365,8 +384,7 @@ def sstar(
             sweeps += 1
             n = act.shape[0]
             row_sweeps += n
-            Ra = R[:, act]
-            grad = _batch_gradient(Ra, W, px, py, (RY[:, act], num[act], den[act]))
+            grad = _batch_gradient(Ra, W, px, py, (RYa, numa, dena))
             # d: the gradient centred under r, scaled to max |d| = 1 on r's
             # support; off it d is 0, or the huge log terms there would set the scale
             d = np.where(Ra > 0.0, grad - np.add.reduce(Ra * grad, 0), 0.0)
@@ -377,8 +395,8 @@ def sstar(
             S = steps.reshape(nx, -1)
             s_vals, SY, s_num, s_den = _ratio_terms(S, W, px, py)
             cols = s_vals.reshape(alphas.size, n).argmax(0) * n + np.arange(n)
-            scale = np.maximum(1.0, np.abs(best_vals[act]))
-            gain = s_vals[cols] - best_vals[act]
+            scale = np.maximum(1.0, np.abs(va))
+            gain = s_vals[cols] - va
             improved = gain > ASCENT_TOL * scale
             if not np.logical_or.reduce(improved):
                 converged = True
@@ -386,21 +404,33 @@ def sstar(
             # a start that did not improve would repeat the same failed step on
             # every later sweep, so it retires for good; its sweep depends on the
             # batch only through BLAS rounding (~1e-16 against the ASCENT_TOL test)
-            cols = cols[improved]
-            crawl = np.logical_and.reduce(gain[improved] <= HANDOFF_GAIN * scale[improved])
-            act = act[improved]
-            R[:, act], RY[:, act], best_vals[act] = S[:, cols], SY[:, cols], s_vals[cols]
-            num[act], den[act] = s_num[cols], s_den[cols]
-            if crawl and not handoff:
+            if not np.logical_and.reduce(improved):
+                out = ~improved
+                i = act[out]
+                R[:, i], best_vals[i], den[i] = Ra[:, out], va[out], dena[out]
+                cols, gain, scale = cols[improved], gain[improved], scale[improved]
+                act = act[improved]
+            Ra, RYa, va = S[:, cols], SY[:, cols], s_vals[cols]
+            numa, dena = s_num[cols], s_den[cols]
+            # a start crawls when it gains at most HANDOFF_GAIN or cannot reach
+            # the leader at its gain in the sweeps left; best_vals lags only for
+            # active starts, whose values have risen since
+            if not handoff and np.logical_and.reduce(
+                (gain <= HANDOFF_GAIN * scale)
+                | (va + gain * (max_iter - sweeps)
+                   < max(np.maximum.reduce(best_vals), np.maximum.reduce(va)))
+            ):
                 handoff = sweeps
+                R[:, act], best_vals[act], den[act] = Ra, va, dena
                 i = _leader(best_vals, den)
                 finished = _newton_finish(R[:, i], best_vals[i], float(den[i]), W, px, py)
-                if finished[2] and finished[1] >= np.maximum.reduce(best_vals[act]):
+                if finished[2] and finished[1] >= np.maximum.reduce(va):
                     converged = True
                     break
                 finished = None
 
     if finished is None:
+        R[:, act], best_vals[act], den[act] = Ra, va, dena
         i = _leader(best_vals, den)
         finished = _newton_finish(R[:, i], best_vals[i], float(den[i]), W, px, py)
     best_r, _, stationary, residual = finished

@@ -217,6 +217,24 @@ def _reachable_joint(px: np.ndarray, W: np.ndarray) -> JointDistribution | None:
     return joint_from_matrix(px[:, None] * W, (0, 1), tuple(range(W.shape[1])))
 
 
+def _input_grid_index(p0: np.ndarray, x0: float) -> int:
+    """Index of the point of the grid p0 of P(X=0) nearest the input's x0.
+
+    The grid ends are always hull vertices, so an input whose nearest grid
+    point is a grid end, x0 within half a grid step of 0 or 1, would read
+    as touching whatever the channel: it raises :class:`ValidationError`.
+    """
+    i = int(np.argmin(np.abs(p0 - x0)))
+    n = p0.shape[0] - 1
+    if not 0 < i < n:
+        raise ValidationError(
+            f"P(X=0) = {float(x0)!r} is within half a grid step "
+            f"(1/grid_n = {1.0 / n:.3g}) of a grid end: grid_n = {n} cannot "
+            "resolve it"
+        )
+    return i
+
+
 def lower_envelope_1d(c: Channel, lam: float, grid_n: int = ENVELOPE_GRID_N) -> Envelope1D:
     """Sample t_lambda on a uniform grid of P(X=0) and its lower convex envelope.
 
@@ -267,14 +285,7 @@ def lambda_dagger(c: Channel, grid_n: int = ENVELOPE_GRID_N) -> float:
     widest chord, as the scan does, so the answer is the scan's bit for bit.
     """
     p0, hy, hx = _entropy_grid(c, grid_n)
-    i = int(np.argmin(np.abs(p0 - c.input.probs[0])))
-    n = p0.shape[0] - 1
-    if not 0 < i < n:
-        raise ValidationError(
-            f"P(X=0) = {float(c.input.probs[0])!r} is within half a grid step "
-            f"(1/grid_n = {1.0 / n:.3g}) of a grid end: grid_n = {n} cannot "
-            "resolve it"
-        )
+    i = _input_grid_index(p0, c.input.probs[0])
     j = _reachable_joint(c.input.probs, c.pyx)
     lam = 0.0 if j is None else binary_rho_squared(j)
     while True:

@@ -14,9 +14,19 @@ import infodep
 from infodep import builtin, errors, sstar
 from infodep.catalog import BUILTIN_HELP
 from infodep.cli import RIBBON_MAX_STEPS, main
-from infodep.distributions import MAX_ALPHABET
+from infodep.distributions import MAX_ALPHABET, channel_of, load_joint_json
 from infodep.sstar import MAX_RESTARTS
-from infodep.tcurve import MAX_GRID_N
+from infodep.tcurve import MAX_GRID_N, lambda_dagger
+
+
+#: rows [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]] at P(X=0) = 1e-5, within half a
+#: grid step of 0 on the default envelope grid
+SKEWED_DOC = {
+    "x_labels": [0, 1],
+    "y_labels": [0, 1, 2],
+    "pxy": [["1/500000", "3/1000000", "1/200000"],
+            ["599994/1000000", "299997/1000000", "99999/1000000"]],
+}
 
 
 def run(capsys, *argv):
@@ -181,13 +191,7 @@ class TestMeasures:
         # P(X=0) = 1e-5 is within half a grid step of 0, where lambda-dagger
         # would read rho^2 off the grid end
         path = tmp_path / "skewed.json"
-        doc = {
-            "x_labels": [0, 1],
-            "y_labels": [0, 1, 2],
-            "pxy": [["1/500000", "3/1000000", "1/200000"],
-                    ["599994/1000000", "299997/1000000", "99999/1000000"]],
-        }
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(SKEWED_DOC))
         code, out, err = run(capsys, "measures", str(path))
         assert code == 2 and out == ""
         assert "P(X=0) = 1e-05" in err and "grid_n = 4096" in err
@@ -293,6 +297,20 @@ class TestTcurve:
         )
         assert code == 2
         assert out == "" and "grid_n" in err
+
+    def test_input_at_grid_end_exits_2(self, capsys, tmp_path):
+        # P(X=0) = 1e-5 is nearest the grid end 0, always a hull vertex, so
+        # the gap there would read 0 whatever lambda; no CSV is written
+        path = tmp_path / "skewed.json"
+        path.write_text(json.dumps(SKEWED_DOC))
+        with pytest.raises(errors.ValidationError) as exc:
+            lambda_dagger(channel_of(load_joint_json(path)))
+        csv = tmp_path / "f.csv"
+        for out_args in ((), ("--out", str(csv))):
+            code, out, err = run(capsys, "tcurve", str(path), "--lambda", "0", *out_args)
+            assert code == 2 and out == ""
+            assert err == f"error: {exc.value}\n"
+        assert not csv.exists()
 
     def test_wide_input_exits_3(self, capsys, tmp_path):
         path = tmp_path / "wide.json"

@@ -24,7 +24,13 @@ along a row pairwise, and the axis-0 sum adds them in order, so the
 product's 8-symbol divergences round differently: its value fell by one ulp
 (5.6e-17), to one ulp below j4's, its maximizer moved by at most 6.7e-16,
 and it still takes 55 sweeps.  Every joint with fewer than 8 input symbols
-kept its bits.  Skipping work in the
+kept its bits.  J, the benchmark's fixed 4x4 (default_rng(35)'s flat
+Dirichlet), and J x J were added in both directions when the handoff began
+to count a start that cannot reach the leader in the sweeps left as
+crawling.  That cut J's sweeps from 177 to 80 with the same bits, J x J's
+from 54 to 41 with its value 2.8e-16 lower, and reversed J x J's from 27 to
+16 with its value 1.1e-16 higher; reversed J, at 13 sweeps, did not move,
+and neither did any older pin.  Skipping work in the
 search must not move a single bit, so the comparisons are exact.  The
 ``lambda_dagger`` constants were re-recorded when its bisection to a 1e-5
 bracket, with a 1e-8 bit touch tolerance, gave way to Dinkelbach's
@@ -111,6 +117,7 @@ from infodep import (
     product,
     q_star,
     sstar,
+    transpose,
 )
 
 J4_TABLE = np.random.default_rng(4).dirichlet(np.ones(16)).reshape(4, 4)
@@ -131,6 +138,8 @@ def _capped_table() -> np.ndarray:
 
 
 CAPPED_TABLE = _capped_table()
+#: the benchmark's fixed 4x4 joint J, whose square J x J is also pinned
+J_TABLE = np.random.default_rng(35).dirichlet(np.ones(16)).reshape(4, 4)
 
 #: value, maximizer, ascent_sweeps and converged of ``sstar`` with its defaults
 SSTAR_PINNED = {
@@ -191,6 +200,74 @@ SSTAR_PINNED = {
         200,
         False,
     ),
+    "J": (
+        "0x1.cb16c0e422cbcp-2",
+        (
+            "0x1.a97879d98b129p-4",
+            "0x1.709b6b19fbb46p-1",
+            "0x1.49900d634957cp-3",
+            "0x1.f460948024d7ap-7",
+        ),
+        80,
+        True,
+    ),
+    "J reversed": (
+        "0x1.0e68a314f7fb3p-1",
+        (
+            "0x1.874adf5b417f8p-1",
+            "0x1.8c6cba9463063p-3",
+            "0x1.09f53ad8e427fp-6",
+            "0x1.a949051bd3b60p-6",
+        ),
+        13,
+        True,
+    ),
+    "J x J": (
+        "0x1.cb16c0e422cbep-2",
+        (
+            "0x1.1d14dbf517509p-6",
+            "0x1.edf6278f2625dp-4",
+            "0x1.b9a39aa693f8fp-6",
+            "0x1.4f4593f037bddp-9",
+            "0x1.dcdf7abf6a1b1p-5",
+            "0x1.9d23bda982583p-2",
+            "0x1.7160ce20924a2p-4",
+            "0x1.186a2710f0117p-7",
+            "0x1.87db2046eb579p-6",
+            "0x1.537c291857cb2p-3",
+            "0x1.2f867c84d79ccp-5",
+            "0x1.ccd834e69b962p-9",
+            "0x1.1ccbd6ad57198p-8",
+            "0x1.ed77a1a7f93afp-6",
+            "0x1.b9327b9efb385p-8",
+            "0x1.4eefb39802644p-11",
+        ),
+        41,
+        True,
+    ),
+    "J x J reversed": (
+        "0x1.0e68a314f7fb1p-1",
+        (
+            "0x1.ada57018eb17bp-4",
+            "0x1.1de5a4d33e6d6p-3",
+            "0x1.f243b9e6f10ecp-3",
+            "0x1.1b17b353307b8p-2",
+            "0x1.b348137586917p-6",
+            "0x1.21a59c3d04a22p-5",
+            "0x1.f8ccc4337f5ddp-5",
+            "0x1.1ece401322672p-4",
+            "0x1.2406d1c1bb669p-9",
+            "0x1.84a4ab3e19107p-9",
+            "0x1.52aa772f021b9p-8",
+            "0x1.80d4b5b4a440ap-8",
+            "0x1.d2f88dcc79b05p-9",
+            "0x1.36bbd9a44d820p-8",
+            "0x1.0ec6708102d42p-7",
+            "0x1.33af89715f64ap-7",
+        ),
+        16,
+        True,
+    ),
 }
 
 #: ``lambda_dagger`` of the channel of each joint, with its defaults
@@ -250,6 +327,10 @@ def _joint(name: str):
         return j4
     if name == "remark3 x j4":
         return product(builtin("remark3"), j4)
+    if name.startswith("J"):
+        j = _table_joint(J_TABLE)
+        j = product(j, j) if name.startswith("J x J") else j
+        return transpose(j) if name.endswith("reversed") else j
     return builtin(name)
 
 

@@ -407,9 +407,11 @@ class TestNewtonHandoff:
             assert res.diagnostics["converged"] is True
 
     def test_handoff_sweep_is_reported(self):
-        """J's one Newton try comes late, at sweep 177 of 200: until then some
-        start far below the leader still gains more than HANDOFF_GAIN."""
-        assert sstar(_square(35)).diagnostics["handoff_sweep"] == 177
+        """J's one Newton try comes at sweep 80 of 200.  A start far below the
+        leader gains more than HANDOFF_GAIN until sweep 177, but from sweep 80
+        on it cannot reach the leader at that gain in the sweeps left, so it
+        no longer holds the handoff back."""
+        assert sstar(_square(35)).diagnostics["handoff_sweep"] == 80
         capped = sstar(_handoff_case("remark3 x j4"), max_iter=1).diagnostics
         assert capped["handoff_sweep"] == 0
 
