@@ -113,28 +113,18 @@ def _check_count(value, what: str) -> int:
     return count
 
 
-def _clean_probs(arr: np.ndarray, atol: float, what: str) -> np.ndarray:
-    """Validate nonnegativity and normalization, return the renormalized array."""
+def _clean_probs(arr: np.ndarray, what: str, axis: int | None = None) -> np.ndarray:
+    """Validate nonnegativity and normalization of ``arr``, or of each of its
+    slices summed along ``axis``, and return it renormalized."""
     _check_finite(arr, what)
     if arr.min() < -NEG_ATOL:
         raise NegativeEntry(f"{what} has a negative entry: {arr.min()!r}")
     arr = np.maximum(arr, 0.0)
-    s = float(arr.sum())
-    if abs(s - 1.0) > atol:
-        raise SumNotOne(f"{what} sums to {s!r}, not 1 (tolerance {atol})")
+    s = arr.sum(axis=axis, keepdims=True)
+    worst = float(s.flat[np.abs(s - 1.0).argmax()])
+    if abs(worst - 1.0) > INGEST_ATOL:
+        raise SumNotOne(f"{what} sums to {worst!r}, not 1 (tolerance {INGEST_ATOL})")
     return arr / s
-
-
-def _clean_rows(arr: np.ndarray) -> np.ndarray:
-    """Validate the rows of a channel matrix as pmfs, return them renormalized."""
-    _check_finite(arr, "channel matrix")
-    if arr.min() < -NEG_ATOL:
-        raise NegativeEntry(f"channel row entry {arr.min()!r} is negative")
-    arr = np.maximum(arr, 0.0)
-    sums = arr.sum(axis=1)
-    if np.abs(sums - 1.0).max() > INGEST_ATOL:
-        raise SumNotOne("channel rows must each sum to 1")
-    return arr / sums[:, None]
 
 
 @dataclass(frozen=True)
@@ -155,7 +145,7 @@ class PMF:
             raise ValidationError(
                 f"{len(self.labels)} labels but {arr.shape[0]} probabilities"
             )
-        arr = _clean_probs(arr, INGEST_ATOL, "pmf")
+        arr = _clean_probs(arr, "pmf")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -182,7 +172,7 @@ class JointDistribution:
                 f"matrix shape {arr.shape} does not match labels "
                 f"({len(self.x_labels)}, {len(self.y_labels)})"
             )
-        arr = _clean_probs(arr, INGEST_ATOL, "joint matrix")
+        arr = _clean_probs(arr, "joint matrix")
         if arr.sum(axis=1).min() <= 0.0:
             raise ZeroMarginal("a row of the joint matrix sums to zero")
         if arr.sum(axis=0).min() <= 0.0:
@@ -222,7 +212,7 @@ class Channel:
             raise ValidationError(
                 f"channel shape {arr.shape} does not match labels"
             )
-        arr = _clean_rows(arr)
+        arr = _clean_probs(arr, "channel row", axis=1)
         arr.setflags(write=False)
         object.__setattr__(self, "pyx", arr)
         if self.input.labels != self.x_labels:
@@ -273,33 +263,31 @@ def push_forward(c: Channel, r: PMF) -> PMF:
 
 
 def _entr(x: np.ndarray) -> np.ndarray:
-    """Elementwise -x log x in nats, with 0 log 0 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(x > 0.0, -x * np.log(x), 0.0)
+    """Elementwise -x log x in nats, with 0 log 0 = 0, for x >= +0.0."""
+    return -x * np.log(np.maximum(x, 5e-324))
 
 
 def _kl_terms(r: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Elementwise terms p phi(r/p) of D(r || p) in nats, broadcasting over
     rows, with phi(t) = t log t - (t - 1) >= 0.
 
-    The terms -(t - 1) add up to sum p - sum r, zero in exact arithmetic, so
-    the sum is that of r log(r/p) without the ulp by which float64 r and p
-    miss summing to the same total, which is ~1e-7 of a 1e-9 nat divergence
-    near r = p.  What is left there is the rounding of log1p, ~1e-16/|t - 1|
-    relative.  A zero r gives p; a zero p gives 0 where r = 0 and inf where
-    r > 0.
+    The reference must be strictly positive: callers sum over p > 0 only.
+    A p below 2.2e-308 can overflow r/p.  The terms -(t - 1) add up to
+    sum p - sum r, zero in exact arithmetic, so the sum is that of
+    r log(r/p) without the ulp by which float64 r and p miss summing to the
+    same total, which is ~1e-7 of a 1e-9 nat divergence near r = p.  What
+    is left there is the rounding of log1p, ~1e-16/|t - 1| relative.  A zero
+    r gives exactly p.  For 0 < t <= 2^-54, where t - 1 rounds to -1, the
+    log1p argument is clamped at -1 + 2^-53, which moves the term by under
+    1e-16 of p phi(t).
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = r / p
-        d = t - 1.0
-        terms = np.log1p(d)
-        terms *= t
-        terms -= d
-        terms[t == 0.0] = 1.0
-        terms *= p
-    if np.logical_and.reduce(p, None):
-        return terms
-    return np.where(p > 0.0, terms, np.where(r > 0.0, np.inf, 0.0))
+    t = r / p
+    d = t - 1.0
+    terms = np.log1p(np.maximum(d, -1.0 + 2.0**-53))
+    terms *= t
+    terms -= d
+    terms *= p
+    return terms
 
 
 def entropy(p: PMF, base: LogBase = LogBase.BITS) -> float:
@@ -317,12 +305,16 @@ def kl_divergence(r: PMF, p: PMF, base: LogBase = LogBase.BITS) -> float:
         raise LabelMismatch("KL divergence needs a shared alphabet")
     if np.any((r.probs > 0.0) & (p.probs <= 0.0)):
         raise SupportViolation("r puts mass outside the support of p")
-    return float(_kl_terms(r.probs, p.probs).sum()) * base.from_nats
+    on = p.probs > 0.0
+    return float(_kl_terms(r.probs[on], p.probs[on]).sum()) * base.from_nats
 
 
 def mutual_information(j: JointDistribution, base: LogBase = LogBase.BITS) -> float:
-    """Mutual information I(X;Y) = D(p(x,y) || p(x) p(y))."""
-    val = float(_kl_terms(j.pxy, np.outer(j.px, j.py)).sum()) * base.from_nats
+    """Mutual information I(X;Y) = D(p(x,y) || p(x) p(y)), summed where
+    p(x) p(y) does not underflow to 0."""
+    ref = np.outer(j.px, j.py)
+    on = ref > 0.0
+    val = float(_kl_terms(j.pxy[on], ref[on]).sum()) * base.from_nats
     return max(val, 0.0)
 
 

@@ -243,9 +243,11 @@ def _anderson_step(hist, normalize) -> np.ndarray:
 def contraction_gap(j: JointDistribution, p: float, q: float, seed: int = 0) -> float:
     """Estimate of sup { ||E[g(Y)|X]||_p - 1 : g >= 0, ||g||_q = 1 }.
 
-    A value <= 0 means the (p, q) contraction holds empirically.  The
-    constant function is always a seed, so the estimate is never negative;
-    it is a lower bound on the true supremum (see module docstring).  The
+    The constant function is always a seed, with gap 0, so the estimate is
+    never negative; it is a lower bound on the true supremum (see module
+    docstring).  A gap within a few ulps of 0 is rounding: the pinned gaps
+    inside the ribbon read 2.2e-17 to 1.3e-16.  Whether (p, q) lies in the
+    ribbon is :func:`in_ribbon`'s q >= q_star, not a test of this gap.  The
     ``GAP_RESTARTS`` = 96 Dirichlet seeds are drawn from a generator seeded
     with ``seed``, which must not be negative.  Each sweep applies the
     fixed-point map to every seed column and then an Anderson mix of the

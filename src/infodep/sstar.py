@@ -245,10 +245,11 @@ def _candidate_points(
 
 def _leader(vals: np.ndarray, den: np.ndarray) -> int:
     """Index of the start whose value minus its rounding bound (``TIE_ULPS``)
-    is greatest."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = TIE_ULPS * np.finfo(float).eps * vals / np.sqrt(2.0 * den)
-    return int(np.argmax(np.where(vals > 0.0, vals - bound, vals)))
+    is greatest.  A positive value has ``den > SEARCH_EXCLUSION``; other
+    values get no bound."""
+    scale = np.sqrt(2.0 * np.maximum(den, SEARCH_EXCLUSION))
+    bound = TIE_ULPS * np.finfo(float).eps * np.maximum(vals, 0.0) / scale
+    return int(np.argmax(vals - bound))
 
 
 def _newton_finish(

@@ -31,7 +31,7 @@ from .distributions import (
     LogBase,
     PMF,
     _check_count,
-    _clean_rows,
+    _clean_probs,
     _entr,
     entropy,
     joint_from_matrix,
@@ -116,8 +116,7 @@ def hessian_t_lambda(c: Channel, r: PMF, lam: float) -> np.ndarray:
         raise BoundaryPoint("Hessian needs a strictly positive input point")
     W = c.pyx
     ry = rx @ W
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_ry = np.where(ry > 0.0, 1.0 / np.maximum(ry, 1e-300), 0.0)
+    inv_ry = np.where(ry > 0.0, 1.0 / np.maximum(ry, 1e-300), 0.0)
     full = -(W * inv_ry[None, :]) @ W.T + float(lam) * np.diag(1.0 / rx)
     n = rx.shape[0]
     basis = np.vstack([np.eye(n - 1), -np.ones(n - 1)])  # columns e_i - e_n
@@ -316,7 +315,7 @@ def scan_inputs(rows) -> tuple[float, float]:
     W = np.asarray(rows, dtype=float)
     if W.ndim != 2 or W.shape[0] != 2:
         raise NotBinaryInput(f"input scan needs 2 channel rows, got shape {W.shape}")
-    W = _clean_rows(W)
+    W = _clean_probs(W, "channel row", axis=1)
     max_rho2 = 0.0
     max_sstar = 0.0
     n = SCAN_GRID_N

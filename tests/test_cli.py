@@ -68,6 +68,16 @@ class TestInfo:
         assert code == 0
         assert "mutual_information_bits: 0" in out
 
+    def test_tiny_entry_keeps_one_bit(self, capsys, tmp_path):
+        # 1e-17 / (p(x) p(y)) is below 2^-54, where the divergence kernel
+        # once gave -inf and this printed 0
+        path = tmp_path / "tiny.json"
+        doc = {"x_labels": [0, 1], "y_labels": [0, 1], "pxy": [[0.5, 1e-17], [0, 0.5]]}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 0 and err == ""
+        assert "mutual_information_bits: 1\n" in out
+
     def test_unhashable_labels_exit_2(self, capsys, tmp_path):
         path = tmp_path / "lists.json"
         doc = {"x_labels": [[0], [1]], "y_labels": [0, 1], "pxy": [[0.5, 0.0], [0.0, 0.5]]}

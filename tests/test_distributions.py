@@ -217,6 +217,17 @@ class TestEntropyAndKL:
         with pytest.raises(SupportViolation):
             kl_divergence(r, p)
 
+    def test_zero_reference_where_r_is_zero_adds_nothing(self):
+        r, p = [0.0, 0.1, 0.25, 0.65, 0.0], [0.2, 0.4, 0.05, 0.35, 0.0]
+        with_zero = kl_divergence(PMF(range(5), r), PMF(range(5), p))
+        assert with_zero == kl_divergence(PMF(range(4), r[:4]), PMF(range(4), p[:4]))
+
+    def test_entry_far_below_its_reference_keeps_the_divergence(self):
+        # r/p = 2e-20 rounds t - 1 to -1, which the kernel once scored -inf
+        r = PMF((0, 1), np.array([1e-20, 1.0 - 1e-20]))
+        p = PMF((0, 1), np.array([0.5, 0.5]))
+        assert abs(kl_divergence(r, p, LogBase.NATS) - math.log(2.0)) <= 1e-15
+
     def test_kl_label_mismatch(self):
         r = PMF((0, 1), np.array([0.5, 0.5]))
         p = PMF(("a", "b"), np.array([0.5, 0.5]))
@@ -235,12 +246,11 @@ class TestEntropyAndKL:
 
 
 def _kl_terms_reference(r, p) -> list[float]:
-    """Terms r log(r/p) - r + p, one math.log each, with the same edge rules."""
+    """Terms r log(r/p) - r + p over a positive p, one math.log each; a zero
+    r gives p."""
     out = []
     for a, b in zip(r, p):
-        if b == 0.0:
-            out.append(0.0 if a == 0.0 else math.inf)
-        elif a == 0.0:
+        if a == 0.0:
             out.append(b)
         else:
             out.append(a * math.log(a / b) - a + b)
@@ -259,18 +269,30 @@ class TestKernels:
         assert float(got.sum()) == pytest.approx(math.fsum(ref), rel=1e-14)
 
     def test_kl_terms_match_math_with_zeros(self):
+        # the kernel takes a positive reference only; a zero r gives exactly p
         r = np.array([0.0, 0.1, 0.25, 0.65, 0.0])
-        p = np.array([0.2, 0.4, 0.05, 0.35, 0.0])
+        p = np.array([0.2, 0.4, 0.05, 0.3, 0.05])
         got = _kl_terms(r, p)
         ref = _kl_terms_reference(r, p)
-        assert got[0] == p[0] and got[4] == 0.0
+        assert got[0] == p[0] and got[4] == p[4]
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
         assert float(got.sum()) == pytest.approx(math.fsum(ref), rel=1e-14)
 
-    def test_mass_outside_support_is_inf(self):
-        got = _kl_terms(np.array([0.5, 0.5, 0.0]), np.array([1.0, 0.0, 0.0]))
-        assert got[1] == math.inf and got[2] == 0.0
-        assert float(got.sum()) == math.inf
+    def test_ratio_at_most_2_pow_54_is_finite(self):
+        # t - 1 rounds to -1 for 0 < t <= 2^-54; the clamped log1p keeps
+        # each term within 1e-16 of p phi(t), plus an ulp of rounding,
+        # instead of -inf
+        p = np.array([0.5, 0.25, 0.125, 0.125])
+        t = np.array([2.0**-54, 1e-17, 1e-20, 1e-300])
+        got = _kl_terms(t * p, p)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = [
+                float(Decimal(b) * (Decimal(a) * Decimal(a).ln() - Decimal(a) + 1))
+                for a, b in zip(t, p)
+            ]
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, exact, rtol=1e-16 + np.finfo(float).eps, atol=0.0)
 
     def test_rows_broadcast_against_one_reference(self):
         p = np.array([0.1, 0.2, 0.3, 0.4])
@@ -314,6 +336,12 @@ class TestMutualInformation:
 
     def test_fig2_value(self, fig2):
         assert mutual_information(fig2) == pytest.approx(FIG2_MI_BITS, abs=1e-12)
+
+    @pytest.mark.parametrize("tiny", [1e-17, 1e-20])
+    def test_tiny_entry_keeps_one_bit(self, tiny):
+        # p(0, 1) / (p(x) p(y)) is below 2^-54, where the kernel once gave -inf
+        j = joint_from_matrix([[0.5, tiny], [0.0, 0.5]], (0, 1), (0, 1))
+        assert abs(mutual_information(j) - 1.0) <= 1e-12
 
     def test_nonnegative_on_random(self):
         rng = np.random.default_rng(3)
@@ -403,6 +431,10 @@ class TestLpNorm:
         assert lp_norm(np.array([0.0, 3.0]), w, -1.0) == 0.0
         assert lp_norm(np.array([0.0, 3.0]), w, 0.0) == 0.0
 
+    def test_all_zero_values_at_positive_order(self):
+        w = PMF((0, 1), np.array([0.5, 0.5]))
+        assert lp_norm(np.zeros(2), w, 2.0) == 0.0
+
     def test_zero_weight_entries_ignored(self):
         w = PMF((0, 1, 2), np.array([0.5, 0.5, 0.0]))
         assert lp_norm(np.array([1.0, 2.0, 50.0]), w, 2.0) == pytest.approx(
@@ -442,6 +474,42 @@ class TestConditionalExpectation:
             out = conditional_expectation(j, g)
             assert np.all(out >= g.min() - 1e-12)
             assert np.all(out <= g.max() + 1e-12)
+
+
+_INPUT = PMF((0, 1), np.array([0.5, 0.5]))
+
+
+class TestRefusals:
+    """Input refusals, each with its exception class and exit code."""
+
+    @pytest.mark.parametrize(
+        "build, error, says",
+        [
+            (lambda j: PMF((), []), ValidationError, "label list is empty"),
+            (lambda j: PMF((0, 1), [1.0]), ValidationError, "2 labels but 1"),
+            (lambda j: JointDistribution((0, 1), (0, 1), [[0.5, 0.5]]),
+             ValidationError, "does not match labels"),
+            (lambda j: Channel((0, 1), (0, 1), [[1.0, 0.0]], _INPUT),
+             ValidationError, "channel shape"),
+            (lambda j: Channel((0, 1), (0, 1), [[1.1, -0.1], [0.0, 1.0]], _INPUT),
+             NegativeEntry, "negative"),
+            (lambda j: Channel((0, 1), (0, 1), np.eye(2), PMF((0, 1), [1.0, 0.0])),
+             ZeroMarginal, "strictly positive"),
+            (lambda j: lp_norm([1.0, 2.0, 3.0], _INPUT, 2.0),
+             ValidationError, "3 values but 2 weights"),
+            (lambda j: conditional_expectation(j, [1.0, 2.0]),
+             ValidationError, "g has 2 entries"),
+        ],
+        ids=[
+            "empty labels", "pmf count", "joint shape", "channel shape",
+            "channel negative entry", "channel zero input", "lp_norm length",
+            "conditional_expectation length",
+        ],
+    )
+    def test_refused(self, fig2, build, error, says):
+        with pytest.raises(error, match=says) as exc:
+            build(fig2)
+        assert type(exc.value) is error and exc.value.exit_code == 2
 
 
 class TestJsonLoading:

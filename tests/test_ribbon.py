@@ -702,6 +702,23 @@ class TestQStar:
         j = joint_from_matrix(table, range(shape[0]), range(shape[1]))
         assert q_star(j, 4.0) == 1.0
 
+    @pytest.mark.parametrize("ends_at_p", [False, True], ids=["cross <= q", "q >= p"])
+    def test_climb_exits(self, fig2, monkeypatch, ends_at_p):
+        # a crossing at the current q stalls the climb at the floor; one at
+        # p ends it there with its witness
+        calls = []
+
+        def crossing(logG, log_norms, py, lo, hi):
+            calls.append((lo, hi))
+            return (hi if ends_at_p else lo), 0
+
+        monkeypatch.setattr("infodep.ribbon._crossing", crossing)
+        floor = 1.0 + maximal_correlation(fig2).rho ** 2 * (4.0 - 1.0)
+        q, witness, steps, _ = _q_star(fig2, 4.0, seed=0)
+        assert calls == [(floor, 4.0)] and steps == 1
+        assert q == (4.0 if ends_at_p else floor)
+        assert (witness is not None) == ends_at_p
+
     def test_within_bounds_random(self):
         rng = np.random.default_rng(83)
         j = random_joint(rng, 2, 2)

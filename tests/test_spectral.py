@@ -194,6 +194,14 @@ class TestRenyiValue:
         with pytest.raises(ZeroFunction):
             renyi_value(fig2, np.array([2.0, 2.0]))
 
+    @pytest.mark.parametrize("f", [[1.0], [1.0, 2.0, 3.0]])
+    def test_length_mismatch_refused(self, fig2, f):
+        from infodep import renyi_value
+
+        with pytest.raises(ValidationError, match=f"f has {len(f)} entries but") as exc:
+            renyi_value(fig2, np.array(f))
+        assert type(exc.value) is ValidationError and exc.value.exit_code == 2
+
     @pytest.mark.parametrize("f", [[0.0, np.inf], [np.nan, 1.0], [-np.inf, np.inf]])
     def test_non_finite_function_rejected(self, fig2, f):
         # refused before the centering, where [0, inf] gives nan and a RuntimeWarning

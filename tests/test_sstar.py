@@ -1,5 +1,6 @@
 """Unit tests for the KL-ratio objective, its maximization, and U-decompositions."""
 
+import importlib
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from infodep import (
     EpsTooLarge,
+    LabelMismatch,
     NotBinaryInput,
+    NumericalError,
     PMF,
     RTooCloseToP,
     UDecomposition,
@@ -69,6 +72,12 @@ class TestKlRatio:
     def test_label_mismatch(self, fig2):
         with pytest.raises(ValidationError):
             kl_ratio(fig2, binary_pmf(0.3, labels=("a", "b")))
+
+    def test_entry_far_below_p_x_matches_the_vertex(self, fig2):
+        # r/p = 2e-20 on the first symbol, where the divergence kernel once
+        # gave -inf and the ratio was refused as too close to p(x)
+        vertex = kl_ratio(fig2, binary_pmf(0.0))
+        assert abs(kl_ratio(fig2, binary_pmf(1e-20)) - vertex) <= 1e-12
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(61)
@@ -626,3 +635,62 @@ class TestPerturbationSequence:
         px = marginals(fig2)[0]
         with pytest.raises(RTooCloseToP):
             perturbation_sequence(fig2, px, [0.1])
+
+
+_SSTAR = importlib.import_module("infodep.sstar")  # the package exports the function
+
+
+def _finish_at_p_x(j, monkeypatch):
+    # a Newton finish that ends at p(x) must trip the excluded-neighbourhood check
+    monkeypatch.setattr(
+        _SSTAR, "_newton_finish", lambda r, value, den, W, px, py: (px, value, True, 0.0)
+    )
+    sstar(j)
+
+
+def _mutual_information_off(j, monkeypatch):
+    # the explicit joints' mutual information disagrees with the KL mixture
+    monkeypatch.setattr(
+        _SSTAR, "mutual_information", lambda joint, base: 1.0 + mutual_information(joint, base)
+    )
+    ratio_for_u(j, binary_u_from_conditionals(j, 0.1, 0.4))
+
+
+_OTHER = binary_pmf(0.5, labels=("a", "b"))
+
+
+class TestRefusals:
+    """Input refusals and cross-check failures, each with its exception
+    class and exit code; the cross-checks are reached by patching the route
+    they check."""
+
+    @pytest.mark.parametrize(
+        "call, error, code, says",
+        [
+            (lambda j, mp: UDecomposition(binary_pmf(0.5), (binary_pmf(0.3), _OTHER)),
+             LabelMismatch, 2, "share one X alphabet"),
+            (lambda j, mp: ratio_for_u(j, UDecomposition(binary_pmf(0.5), (_OTHER, _OTHER))),
+             LabelMismatch, 2, "X alphabet"),
+            (lambda j, mp: ratio_for_u(
+                j, UDecomposition(binary_pmf(1.0), (marginals(j)[0], binary_pmf(0.3)))),
+             ValidationError, 2, "at least 2 values of positive weight"),
+            (lambda j, mp: perturbation_sequence(j, _OTHER, [0.1]),
+             LabelMismatch, 2, r"r\* is not on"),
+            (lambda j, mp: perturbation_sequence(j, binary_pmf(0.0), [0.0]),
+             ValidationError, 2, r"eps must be in \(0, 1\)"),
+            (lambda j, mp: perturbation_sequence(j, binary_pmf(0.0), [1.0]),
+             ValidationError, 2, r"eps must be in \(0, 1\)"),
+            (_finish_at_p_x, NumericalError, 4, "excluded neighborhood"),
+            (_mutual_information_off, NumericalError, 4, "cross-check"),
+        ],
+        ids=[
+            "U conditionals on two alphabets", "ratio_for_u foreign alphabet",
+            "ratio_for_u one positive weight", "perturbation foreign alphabet",
+            "eps 0", "eps 1", "sstar excluded neighborhood",
+            "ratio_for_u mutual information",
+        ],
+    )
+    def test_refused(self, fig2, monkeypatch, call, error, code, says):
+        with pytest.raises(error, match=says) as exc:
+            call(fig2, monkeypatch)
+        assert type(exc.value) is error and exc.value.exit_code == code

@@ -2,6 +2,7 @@
 
 import math
 from bisect import bisect_left
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -531,6 +532,18 @@ class TestScanInputs:
         max_rho2, max_sstar = scan_inputs(rows)
         assert max_rho2 == pytest.approx(0.0, abs=1e-12)
         assert max_sstar == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "route, fake",
+        [("binary_rho_squared", lambda j: 1.0), ("sstar", lambda j: SimpleNamespace(value=1.0))],
+        ids=["rho squared off", "sstar off"],
+    )
+    def test_disagreeing_routes_raise(self, fig2, monkeypatch, route, fake):
+        # one route patched to read 1 at every input moves its maximum off the other's
+        monkeypatch.setattr(tcurve, route, fake)
+        with pytest.raises(NumericalError, match="should agree within 1e-3") as exc:
+            scan_inputs(channel_of(fig2).pyx)
+        assert type(exc.value) is NumericalError and exc.value.exit_code == 4
 
     def test_rejects_wide_channel(self):
         rows = np.full((3, 3), 1.0 / 3.0)
