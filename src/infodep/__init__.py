@@ -18,6 +18,9 @@ The package computes, for a joint law p(x,y) on small finite alphabets:
   Hessian threshold at p(x) is rho^2 and whose convex-envelope touch
   threshold is s* (:mod:`infodep.tcurve`).
 
+:func:`measures` computes rho, s* both ways, I(X;Y) and lambda-dagger of one
+joint in one pass, with one SVD (:mod:`infodep.summary`).
+
 rho^2 <= s* always; the built-in ``fig2`` joint (an asymmetric binary-input
 erasure channel) separates them — rho^2 = 0.6 < s* = 0.6315... — and the
 ``counterexample`` CLI command exhibits explicit auxiliary variables U whose
@@ -39,12 +42,15 @@ from .spectral import *
 # then rebinds the name to the function, and a later import of the loaded
 # submodule does not set it again
 from .sstar import *
+from .summary import *
 from .tcurve import *
 
 __version__ = "0.1.0"
 
 #: each public name is listed once, in its own module's ``__all__``
-_MODULES = ("catalog", "distributions", "errors", "ribbon", "spectral", "sstar", "tcurve")
+_MODULES = (
+    "catalog", "distributions", "errors", "ribbon", "spectral", "sstar", "summary", "tcurve"
+)
 __all__ = ["__version__"] + [
     name for module in _MODULES for name in sys.modules[f"{__name__}.{module}"].__all__
 ]

@@ -42,13 +42,13 @@ from .distributions import (
     load_joint_json,
     mutual_information,
     product,
-    transpose,
 )
 from .errors import InfodepError, ParseError, ValidationError
 from .ribbon import QSTAR_MAX_P, q_star_curve
 from .spectral import binary_rho_squared, maximal_correlation
 from .sstar import binary_u_from_conditionals, ratio_for_u, sstar
-from .tcurve import ENVELOPE_GRID_N, _input_grid_index, lambda_dagger, lower_envelope_1d
+from .summary import measures
+from .tcurve import ENVELOPE_GRID_N, _input_grid_index, lower_envelope_1d
 
 __all__ = ["ReportDocument", "main", "entry"]
 
@@ -145,25 +145,22 @@ def cmd_info(args) -> int:
 def cmd_measures(args) -> int:
     j = _resolve(args.source)
     base = LogBase(args.base)
-    witness = maximal_correlation(j)
-    fwd = sstar(j, restarts=args.restarts, seed=args.seed)
-    bwd = sstar(transpose(j), restarts=args.restarts, seed=args.seed)
+    m = measures(j, restarts=args.restarts, seed=args.seed)
     values = {
-        "rho": _fmt(witness.rho),
-        "rho_squared": _fmt(witness.rho**2),
-        "sstar_xy": _fmt(fwd.value),
-        "sstar_yx": _fmt(bwd.value),
-        f"mutual_information_{base.value}": _fmt(mutual_information(j, base)),
+        "rho": _fmt(m.witness.rho),
+        "rho_squared": _fmt(m.witness.rho**2),
+        "sstar_xy": _fmt(m.sstar_xy.value),
+        "sstar_yx": _fmt(m.sstar_yx.value),
+        f"mutual_information_{base.value}": _fmt(m.mutual_information_nats * base.from_nats),
     }
     provenance = {
         "seed": args.seed,
         "restarts": args.restarts,
-        "sstar_tol": fwd.diagnostics["tol"],
+        "sstar_tol": m.sstar_xy.diagnostics["tol"],
     }
-    if j.shape[0] == 2:
-        ld = lambda_dagger(channel_of(j))
-        values["lambda_dagger"] = _fmt(ld)
-        values["lambda_dagger_minus_sstar_xy"] = _fmt(ld - fwd.value)
+    if m.lambda_dagger is not None:
+        values["lambda_dagger"] = _fmt(m.lambda_dagger)
+        values["lambda_dagger_minus_sstar_xy"] = _fmt(m.lambda_dagger - m.sstar_xy.value)
         provenance["envelope_grid_n"] = ENVELOPE_GRID_N
     doc = ReportDocument(_echo_inputs(args.source, j), values, provenance)
     print("\n".join(doc.lines()))

@@ -15,6 +15,14 @@ purpose — :func:`maximal_correlation` (dense SVD of the deflated Q) and
 :func:`hessian_rho_lambda` (symmetric eigensolve of Q Q^T) — so each can
 certify the other in tests; :func:`binary_rho_squared` is a closed form for
 binary alphabets.
+
+rho is symmetric, rho(X;Y) = rho(Y;X), and :func:`maximal_correlation` keeps
+that to the bit.  It decomposes one canonical orientation of the table: the
+one with fewer rows, and for a square table the one of the table and its
+transpose whose C-order bytes compare smaller.  Everything (marginals,
+deflation, SVD, re-orthogonalization, sign) is read from that C-contiguous
+matrix, and the other orientation's witness is the same pair with f and g
+swapped.  A table equal to its own transpose gets the same witness both ways.
 """
 
 from __future__ import annotations
@@ -77,26 +85,20 @@ def _orthonormal_to(w: np.ndarray) -> np.ndarray:
     return candidates[:, k] / norms[k]
 
 
-def maximal_correlation(j: JointDistribution) -> CorrelationWitness:
-    """Maximal correlation rho = sigma_2(Q) with an attaining witness (f, g).
+def _is_canonical(a: np.ndarray, t: np.ndarray) -> bool:
+    """Whether the table ``a``, whose transpose is ``t``, is the orientation
+    :func:`maximal_correlation` decomposes: the one with fewer rows, and for a
+    square table the one whose C-order bytes compare no greater.  A table
+    equal to its transpose is canonical both ways."""
+    nx, ny = a.shape
+    return nx < ny or (nx == ny and a.tobytes() <= t.tobytes())
 
-    Algorithm: deflate the analytically known top singular pair
-    (sqrt p(x), sqrt p(y), 1) from Q and take the leading singular triple of
-    the remainder from one dense SVD.  Deflating the exact top pair keeps
-    sigma_1 = 1 from contaminating the estimate when rho is close to 1.
 
-    Raises :class:`DegenerateAlphabet` when either alphabet has one symbol
-    (no zero-mean unit-variance function exists; the correlation is 0 by
-    convention but no witness can be returned).
-    """
-    nx, ny = j.shape
-    if nx < 2 or ny < 2:
-        raise DegenerateAlphabet(
-            f"maximal correlation witness needs |X|, |Y| >= 2, got {nx}x{ny}"
-        )
-    px, py = j.px, j.py
-    u1, v1 = np.sqrt(px), np.sqrt(py)
-    R = j.pxy / np.outer(u1, v1) - np.outer(u1, v1)
+def _decompose(a: np.ndarray) -> CorrelationWitness:
+    """rho and its witness for the C-contiguous table ``a``, everything read
+    from ``a`` itself: its marginals, the deflated Q, the SVD and the sign."""
+    u1, v1 = np.sqrt(np.add.reduce(a, 1)), np.sqrt(np.add.reduce(a, 0))
+    R = a / np.outer(u1, v1) - np.outer(u1, v1)
     U, S, Vt = np.linalg.svd(R, full_matrices=False)
     if S[0] < 1e-14:
         # R is rounding noise (an independent joint): rho = 0, and any
@@ -113,14 +115,49 @@ def maximal_correlation(j: JointDistribution) -> CorrelationWitness:
     sigma = float(min(max(sigma, 0.0), 1.0))
     f = u2 / u1
     g = v2 / v1
-    # canonical orientation: E[f g] >= 0 already holds (sigma >= 0 by
-    # construction); fix the overall sign so reruns return the same witness
+    # E[f g] >= 0 already holds (sigma >= 0 by construction); fix the
+    # overall sign so reruns return the same witness
     k = int(np.argmax(np.abs(f)))
     if f[k] < 0.0:
         f, g = -f, -g
     f.setflags(write=False)
     g.setflags(write=False)
     return CorrelationWitness(sigma, f, g)
+
+
+def _witnesses(j: JointDistribution) -> tuple[CorrelationWitness, CorrelationWitness]:
+    """The witnesses of ``j`` and of ``transpose(j)``, from one SVD of the
+    canonical orientation (see :func:`maximal_correlation`)."""
+    nx, ny = j.shape
+    if nx < 2 or ny < 2:
+        raise DegenerateAlphabet(
+            f"maximal correlation witness needs |X|, |Y| >= 2, got {nx}x{ny}"
+        )
+    a, t = j.pxy, np.ascontiguousarray(j.pxy.T)
+    forward = _is_canonical(a, t)
+    w = _decompose(a if forward else t)
+    swapped = CorrelationWitness(w.rho, w.g, w.f)
+    return (w if forward else swapped), (w if _is_canonical(t, a) else swapped)
+
+
+def maximal_correlation(j: JointDistribution) -> CorrelationWitness:
+    """Maximal correlation rho = sigma_2(Q) with an attaining witness (f, g).
+
+    Algorithm: deflate the analytically known top singular pair
+    (sqrt p(x), sqrt p(y), 1) from Q and take the leading singular triple of
+    the remainder from one dense SVD.  Deflating the exact top pair keeps
+    sigma_1 = 1 from contaminating the estimate when rho is close to 1.
+
+    The SVD is of the table's canonical orientation (module docstring), so
+    rho is transpose-symmetric to the bit: unless the table equals its
+    transpose, ``maximal_correlation(transpose(j))`` is this witness with f
+    and g swapped.
+
+    Raises :class:`DegenerateAlphabet` when either alphabet has one symbol
+    (no zero-mean unit-variance function exists; the correlation is 0 by
+    convention but no witness can be returned).
+    """
+    return _witnesses(j)[0]
 
 
 def binary_rho_squared(j: JointDistribution) -> float:

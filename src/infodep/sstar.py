@@ -223,22 +223,19 @@ def _batch_gradient(
 
 
 def _candidate_points(
-    j: JointDistribution, rng: np.random.Generator, restarts: int
+    px: np.ndarray, f: np.ndarray | None, rng: np.random.Generator, restarts: int
 ) -> np.ndarray:
-    """Vertices, witness-ray points and Dirichlet restarts, one per column."""
-    nx = j.shape[0]
-    px = j.px
+    """Vertices, points on the witness ray of f (none when f is None) and
+    Dirichlet restarts, one per column."""
+    nx = px.shape[0]
     blocks = [np.eye(nx)]
-    try:
-        f = maximal_correlation(j).f
+    if f is not None:
         # p(x) (1 + s t f) reaches the simplex boundary at t = 1/max(-s f);
         # one column of t per sign s = +1, -1
         t = np.geomspace(RAY_START, 1.0 / np.array([np.max(-f), np.max(f)]), RAY_POINTS)
         st = np.concatenate([t[:, 0], -t[:, 1]])
         ray = np.maximum(px[:, None] * (1.0 + st * f[:, None]), 0.0)
         blocks.append(ray / np.add.reduce(ray, 0))
-    except DegenerateAlphabet:
-        pass
     blocks.append(rng.dirichlet(np.ones(nx), size=restarts).T)
     return np.hstack(blocks)
 
@@ -260,8 +257,7 @@ def _newton_finish(
     whether they ended stationary, at a step too small for the ratio to judge
     or on a face where the ratio is flat (a near-singular Newton system),
     rather than with no rising step or with NEWTON_STEPS spent; and the face
-    KKT residual there, the largest entry of the ratio's gradient projected
-    onto the face."""
+    KKT residual there (:func:`_kkt_residual`)."""
     s = r > 0.0
     Ws, pxs = W[s], px[s]
     m = Ws.shape[0]
@@ -272,7 +268,6 @@ def _newton_finish(
         rs = r[s]
         ry = np.maximum(rs @ Ws, 1e-300)  # outputs off the face's reach add 0
         g = Ws @ np.log(ry / py) - value * np.log(rs / pxs)
-        residual = float(np.abs(g - g.mean()).max()) / den
         if stationary or k == NEWTON_STEPS:
             break
         # solved for step / rs, which small entries of r cannot ill-condition
@@ -297,7 +292,23 @@ def _newton_finish(
             break
         r, value, den = cand, cand_val[0], float(cand_den[0])
         stationary = 0.0 < model_gain <= NEWTON_EXACT_GAIN
-    return r, value, stationary, residual
+    return r, value, stationary, _kkt_residual(rs, g, den)
+
+
+def _kkt_residual(rs: np.ndarray, g: np.ndarray, den: float) -> float:
+    """The largest entry of the ratio's gradient g, projected onto the face of
+    the entries rs, over den nats.
+
+    An entry of at most eps is below the rounding of the entries' unit sum,
+    and taking it away moves the ratio by at most eps |g_i - c| / den, a few
+    ulps; such an entry is judged by the KKT inequality g_i <= c of an entry
+    off the face, c the mean of g over the other entries, instead of the
+    equality g_i = c.  The largest entry always exceeds eps.
+    """
+    loose = rs <= np.finfo(float).eps
+    c = g[~loose].mean()
+    on_face = float(np.abs(g[~loose] - c).max())
+    return max(on_face, float(np.maximum(g[loose] - c, 0.0).max(initial=0.0))) / den
 
 
 def sstar(
@@ -338,11 +349,25 @@ def sstar(
     ``diagnostics["converged"]`` is False when the sweep cap ended the
     ascent or the Newton steps did not end stationary, and
     ``diagnostics["kkt_residual"]`` is the largest entry of the ratio's
-    gradient projected onto the maximizer's face.  The value is exactly the
+    gradient projected onto the maximizer's face, where an entry of at most
+    eps counts as off the face and only a gradient there above the face's
+    mean adds to it.  The value is exactly the
     ratio at the reported maximizer.  ``restarts``, ``seed`` and
     ``max_iter`` must be non-negative integers, and ``restarts`` at most
     ``MAX_RESTARTS``.
     """
+    try:
+        f = maximal_correlation(j).f
+    except DegenerateAlphabet:
+        f = None
+    return _sstar(j, f, restarts, seed, max_iter)
+
+
+def _sstar(
+    j: JointDistribution, f: np.ndarray | None, restarts: int, seed: int, max_iter: int
+) -> SStarResult:
+    """:func:`sstar` with the witness f of ``maximal_correlation(j)``, None
+    when an alphabet has one symbol."""
     restarts = _check_count(restarts, "restarts")
     seed = _check_count(seed, "seed")
     max_iter = _check_count(max_iter, "max_iter")
@@ -363,7 +388,7 @@ def sstar(
     py = j.py
     rng = np.random.default_rng(seed)
 
-    R = _candidate_points(j, rng, restarts)
+    R = _candidate_points(px, f, rng, restarts)
     vals, RY, num, den = _ratio_terms(R, W, px, py)
     n_candidates = R.shape[1]
 
@@ -380,55 +405,54 @@ def sstar(
     handoff = 0
     converged = False
     finished = None
-    with np.errstate(invalid="ignore"):
-        for _ in range(max_iter):
-            sweeps += 1
-            n = act.shape[0]
-            row_sweeps += n
-            grad = _batch_gradient(Ra, W, px, py, (RYa, numa, dena))
-            # d: the gradient centred under r, scaled to max |d| = 1 on r's
-            # support; off it d is 0, or the huge log terms there would set the scale
-            d = np.where(Ra > 0.0, grad - np.add.reduce(Ra * grad, 0), 0.0)
-            d /= np.maximum(np.maximum.reduce(np.abs(d), 0), 1e-300)
-            d -= np.maximum.reduce(d, 0)  # exponents <= 0 cannot overflow
-            steps = Ra[:, None, :] * np.exp(alphas[:, None] * d[:, None, :])
-            steps /= np.add.reduce(steps, 0)
-            S = steps.reshape(nx, -1)
-            s_vals, SY, s_num, s_den = _ratio_terms(S, W, px, py)
-            cols = s_vals.reshape(alphas.size, n).argmax(0) * n + np.arange(n)
-            scale = np.maximum(1.0, np.abs(va))
-            gain = s_vals[cols] - va
-            improved = gain > ASCENT_TOL * scale
-            if not np.logical_or.reduce(improved):
+    for _ in range(max_iter):
+        sweeps += 1
+        n = act.shape[0]
+        row_sweeps += n
+        grad = _batch_gradient(Ra, W, px, py, (RYa, numa, dena))
+        # d: the gradient centred under r, scaled to max |d| = 1 on r's
+        # support; off it d is 0, or the huge log terms there would set the scale
+        d = np.where(Ra > 0.0, grad - np.add.reduce(Ra * grad, 0), 0.0)
+        d /= np.maximum(np.maximum.reduce(np.abs(d), 0), 1e-300)
+        d -= np.maximum.reduce(d, 0)  # exponents <= 0 cannot overflow
+        steps = Ra[:, None, :] * np.exp(alphas[:, None] * d[:, None, :])
+        steps /= np.add.reduce(steps, 0)
+        S = steps.reshape(nx, -1)
+        s_vals, SY, s_num, s_den = _ratio_terms(S, W, px, py)
+        cols = s_vals.reshape(alphas.size, n).argmax(0) * n + np.arange(n)
+        scale = np.maximum(1.0, np.abs(va))
+        gain = s_vals[cols] - va
+        improved = gain > ASCENT_TOL * scale
+        if not np.logical_or.reduce(improved):
+            converged = True
+            break
+        # a start that did not improve would repeat the same failed step on
+        # every later sweep, so it retires for good; its sweep depends on the
+        # batch only through BLAS rounding (~1e-16 against the ASCENT_TOL test)
+        if not np.logical_and.reduce(improved):
+            out = ~improved
+            i = act[out]
+            R[:, i], best_vals[i], den[i] = Ra[:, out], va[out], dena[out]
+            cols, gain, scale = cols[improved], gain[improved], scale[improved]
+            act = act[improved]
+        Ra, RYa, va = S[:, cols], SY[:, cols], s_vals[cols]
+        numa, dena = s_num[cols], s_den[cols]
+        # a start crawls when it gains at most HANDOFF_GAIN or cannot reach
+        # the leader at its gain in the sweeps left; best_vals lags only for
+        # active starts, whose values have risen since
+        if not handoff and np.logical_and.reduce(
+            (gain <= HANDOFF_GAIN * scale)
+            | (va + gain * (max_iter - sweeps)
+               < max(np.maximum.reduce(best_vals), np.maximum.reduce(va)))
+        ):
+            handoff = sweeps
+            R[:, act], best_vals[act], den[act] = Ra, va, dena
+            i = _leader(best_vals, den)
+            finished = _newton_finish(R[:, i], best_vals[i], float(den[i]), W, px, py)
+            if finished[2] and finished[1] >= np.maximum.reduce(va):
                 converged = True
                 break
-            # a start that did not improve would repeat the same failed step on
-            # every later sweep, so it retires for good; its sweep depends on the
-            # batch only through BLAS rounding (~1e-16 against the ASCENT_TOL test)
-            if not np.logical_and.reduce(improved):
-                out = ~improved
-                i = act[out]
-                R[:, i], best_vals[i], den[i] = Ra[:, out], va[out], dena[out]
-                cols, gain, scale = cols[improved], gain[improved], scale[improved]
-                act = act[improved]
-            Ra, RYa, va = S[:, cols], SY[:, cols], s_vals[cols]
-            numa, dena = s_num[cols], s_den[cols]
-            # a start crawls when it gains at most HANDOFF_GAIN or cannot reach
-            # the leader at its gain in the sweeps left; best_vals lags only for
-            # active starts, whose values have risen since
-            if not handoff and np.logical_and.reduce(
-                (gain <= HANDOFF_GAIN * scale)
-                | (va + gain * (max_iter - sweeps)
-                   < max(np.maximum.reduce(best_vals), np.maximum.reduce(va)))
-            ):
-                handoff = sweeps
-                R[:, act], best_vals[act], den[act] = Ra, va, dena
-                i = _leader(best_vals, den)
-                finished = _newton_finish(R[:, i], best_vals[i], float(den[i]), W, px, py)
-                if finished[2] and finished[1] >= np.maximum.reduce(va):
-                    converged = True
-                    break
-                finished = None
+            finished = None
 
     if finished is None:
         R[:, act], best_vals[act], den[act] = Ra, va, dena

@@ -449,7 +449,7 @@ class TestTensor:
 class TestContract:
     def test_package_exports_each_module_list_once(self):
         modules = ("catalog", "distributions", "errors", "ribbon", "spectral",
-                   "sstar", "tcurve")
+                   "sstar", "summary", "tcurve")
         expected = ["__version__"]
         for name in modules:
             expected += sys.modules[f"infodep.{name}"].__all__
@@ -478,7 +478,7 @@ class TestContract:
         def fail(*args, **kwargs):
             raise errors.NumericalError("the routes disagree")
 
-        monkeypatch.setattr("infodep.cli.sstar", fail)
+        monkeypatch.setattr("infodep.cli.measures", fail)
         code, out, err = run(capsys, "measures", "fig2")
         assert code == 4
         assert err == "error: the routes disagree\n"

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from infodep import (
     DegenerateAlphabet,
@@ -19,9 +21,11 @@ from infodep import (
     marginals,
     maximal_correlation,
     mutual_information,
+    product,
     q_matrix,
     transpose,
 )
+from infodep.spectral import _is_canonical
 from conftest import random_joint, random_independent
 
 
@@ -60,6 +64,19 @@ class TestQMatrix:
         assert s[1] <= 1e-12
 
 
+#: the benchmark's fixed 4x4 joint J
+J = joint_from_matrix(
+    np.random.default_rng(35).dirichlet(np.ones(16)).reshape(4, 4), range(4), range(4)
+)
+#: joint shapes up to 16x16: any, square, and 8 or more symbols wide, where
+#: the marginals of a table and of its transpose round differently
+_SHAPES = st.one_of(
+    st.tuples(st.integers(2, 16), st.integers(2, 16)),
+    st.integers(2, 16).map(lambda n: (n, n)),
+    st.tuples(st.integers(8, 16), st.integers(2, 16)),
+)
+
+
 class TestMaximalCorrelation:
     def test_fig2_value(self, fig2):
         w = maximal_correlation(fig2)
@@ -89,12 +106,15 @@ class TestMaximalCorrelation:
             assert cross == pytest.approx(w.rho, abs=1e-8)
 
     def test_witness_sign_canonicalization(self):
+        # the sign is fixed in the decomposed orientation, whose f is
+        # positive where |f| is largest; the other orientation swaps f and g
         rng = np.random.default_rng(13)
         for _ in range(10):
             j = random_joint(rng, 3, 3)
             w = maximal_correlation(j)
+            h = w.f if _is_canonical(j.pxy, np.ascontiguousarray(j.pxy.T)) else w.g
             if w.rho > 1e-8:
-                assert w.f[int(np.argmax(np.abs(w.f)))] > 0
+                assert h[int(np.argmax(np.abs(h)))] > 0
 
     def test_range_and_symmetry(self):
         rng = np.random.default_rng(4)
@@ -104,6 +124,25 @@ class TestMaximalCorrelation:
             r2 = maximal_correlation(transpose(j)).rho
             assert 0.0 <= r1 <= 1.0
             assert r1 == pytest.approx(r2, abs=1e-10)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=_SHAPES)
+    @example(seed=None, shape=None)  # J x J, whose sigma_2 is tied
+    def test_transpose_swaps_the_witness_bit_for_bit(self, seed, shape):
+        if shape is None:
+            j = product(J, J)
+        else:
+            j = random_joint(np.random.default_rng(seed), *shape)
+        w, wt = maximal_correlation(j), maximal_correlation(transpose(j))
+        assert wt.rho == w.rho
+        assert wt.f.tobytes() == w.g.tobytes()
+        assert wt.g.tobytes() == w.f.tobytes()
+
+    def test_a_symmetric_table_has_one_witness_both_ways(self):
+        # a table equal to its transpose is its own canonical orientation
+        j = builtin("bsc:0.2")
+        w, wt = maximal_correlation(j), maximal_correlation(transpose(j))
+        assert (wt.rho, wt.f.tobytes(), wt.g.tobytes()) == (w.rho, w.f.tobytes(), w.g.tobytes())
 
     def test_tensorization_max_rule(self, fig2, remark3):
         from infodep import product

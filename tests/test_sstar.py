@@ -37,6 +37,7 @@ from infodep.sstar import (
     MAX_RESTARTS,
     _batch_gradient,
     _candidate_points,
+    _kkt_residual,
     _newton_finish,
     _ratio_at,
     _ratio_terms,
@@ -322,6 +323,25 @@ class TestSearchEngine:
         assert _face_gradient(j, res) <= 1e-9
         assert res.diagnostics["kkt_residual"] <= 1e-9
 
+    def test_residual_next_to_a_face(self):
+        # bec:0.25 x bsc:0.1 ends at (1/2, 1/2, 8.3e-17, 0): the third entry is
+        # below eps and its gradient, 0.24 below the others', would read as a
+        # residual of 0.234 by the face equality; the KKT inequality holds
+        j = product(builtin("bec:0.25"), builtin("bsc:0.1"))
+        res = sstar(j)
+        r = res.maximizer.probs
+        assert 0.0 < r[2] <= np.finfo(float).eps and r[3] == 0.0
+        assert res.diagnostics["converged"] is True
+        assert res.diagnostics["kkt_residual"] <= 1e-15
+
+    def test_residual_rule(self):
+        g = np.array([0.0, 0.0, -0.3])
+        # an entry above eps is judged by the equality, one at most eps by
+        # the inequality, which a gradient above the others' still breaks
+        assert _kkt_residual(np.array([0.5, 0.5 - 1e-10, 1e-10]), g, 2.0) == 0.1
+        assert _kkt_residual(np.array([0.5, 0.5, 1e-17]), g, 2.0) == 0.0
+        assert _kkt_residual(np.array([0.5, 0.5, 1e-17]), -g, 2.0) == 0.15
+
     def test_no_loss_against_deleted_grids(self):
         rng = np.random.default_rng(2026)
         for k in range(60):
@@ -358,7 +378,8 @@ def _reference_sstar(j, restarts: int = 64, seed: int = 0, max_iter: int = 200) 
     nx = j.shape[0]
     px, py = j.px, j.py
     W = j.pxy / px[:, None]
-    R = _candidate_points(j, np.random.default_rng(seed), restarts).T
+    f = maximal_correlation(j).f
+    R = _candidate_points(px, f, np.random.default_rng(seed), restarts).T
     vals = _values(R.T, W, px, py)
     keep = np.argsort(-vals)[: max(restarts + nx + 8, 32)]
     R, best_vals = R[keep], vals[keep]
