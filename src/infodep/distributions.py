@@ -220,12 +220,6 @@ class Channel:
         if self.input.probs.min() <= 0.0:
             raise ZeroMarginal("channel input must be strictly positive")
 
-    def joint(self) -> JointDistribution:
-        """The joint distribution p(x,y) = input(x) * pyx[x][y]."""
-        return JointDistribution(
-            self.x_labels, self.y_labels, self.input.probs[:, None] * self.pyx
-        )
-
 
 def joint_from_matrix(table, x_labels: Sequence, y_labels: Sequence) -> JointDistribution:
     """Build a validated joint distribution from a matrix of probabilities.

@@ -71,8 +71,9 @@ symmetric channel the floor is q* itself (Bonami 1970; Beckner 1975).
 
 A sweep's arrays hold |X| or |Y| times |Y| + 97 entries, so numpy's
 overhead per call sets its cost: reductions call ``ufunc.reduce``, not the
-wrappers ``np.max`` and ``np.sum``, and one ``np.errstate`` covers the
-loop.  On fig2 at 100 columns a mixed sweep takes 0.065-0.072 ms and a
+wrappers ``np.max`` and ``np.sum``, and ``contraction_gap`` and
+``_q_star`` each enter one ``np.errstate`` around their whole loop of
+sweeps.  On fig2 at 100 columns a mixed sweep takes 0.065-0.072 ms and a
 plain one 0.021-0.026 ms (one BLAS thread, a shared 2-vCPU x86-64 VM).
 """
 
@@ -169,8 +170,8 @@ def _seed_columns(ny: int, seed: int) -> np.ndarray:
     coordinate indicator, the constant, and ``GAP_RESTARTS`` Dirichlet
     draws seeded with ``seed``."""
     draws = np.random.default_rng(seed).dirichlet(np.ones(ny), size=GAP_RESTARTS)
-    with np.errstate(divide="ignore"):
-        return np.log(np.concatenate([np.eye(ny), np.ones((ny, 1)), draws.T], axis=1))
+    indicators = np.where(np.eye(ny) > 0.0, 0.0, -np.inf)
+    return np.concatenate([indicators, np.zeros((ny, 1)), np.log(draws).T], axis=1)
 
 
 def _sweeps(kernel, p: float, q: float, logG: np.ndarray):

@@ -76,6 +76,8 @@ SEARCH_EXCLUSION = 1e-9
 NUM_NOISE_FLOOR = 1e-13
 #: relative gain below which an ascent step does not count as improving
 ASCENT_TOL = 1e-9
+#: sstar's default cap on the ascent's sweeps
+SWEEP_CAP = 200
 #: most Dirichlet restarts sstar accepts, 64 times the default: the first
 #: sweep holds about 14 |X| floats per restart
 MAX_RESTARTS = 4096
@@ -315,7 +317,7 @@ def sstar(
     j: JointDistribution,
     restarts: int = 64,
     seed: int = 0,
-    max_iter: int = 200,
+    max_iter: int = SWEEP_CAP,
 ) -> SStarResult:
     """Best-found value of the s* supremum with its maximizing input.
 
@@ -373,22 +375,50 @@ def _sstar(
     max_iter = _check_count(max_iter, "max_iter")
     if restarts > MAX_RESTARTS:
         raise ValidationError(f"restarts must be in [0, {MAX_RESTARTS}], got {restarts!r}")
-    nx = j.shape[0]
     px = j.px
-    if nx < 2:
-        return SStarResult(
-            0.0,
-            PMF(j.x_labels, px),
-            {"restarts": 0, "seed": seed,
-             "tol": ASCENT_TOL, "candidates": 0, "ascent_sweeps": 0,
-             "best_denominator_nats": 0.0, "converged": True,
-             "ascent_row_sweeps": 0, "kkt_residual": 0.0, "handoff_sweep": 0},
+    if j.shape[0] < 2:
+        # p(x) is the only input and its ratio is 0: nothing is searched
+        restarts, best_r, value, best_den = 0, px, 0.0, 0.0
+        n_candidates = sweeps = row_sweeps = handoff = 0
+        converged, residual = True, 0.0
+    else:
+        W, py = j.pxy / px[:, None], j.py
+        best_r, n_candidates, sweeps, converged, row_sweeps, residual, handoff = _ascent(
+            W, px, py, f, restarts, seed, max_iter
         )
-    W = j.pxy / px[:, None]
-    py = j.py
-    rng = np.random.default_rng(seed)
+        value, best_den = _ratio_at(best_r, W, px, py)
+        if best_den < SEARCH_EXCLUSION:
+            raise NumericalError(
+                "optimizer returned a point inside the excluded neighborhood"
+            )
+    return SStarResult(
+        value,
+        PMF(j.x_labels, best_r),
+        {
+            "restarts": restarts,
+            "seed": seed,
+            "tol": ASCENT_TOL,
+            "candidates": n_candidates,
+            "ascent_sweeps": sweeps,
+            "best_denominator_nats": best_den,
+            "converged": converged,
+            "ascent_row_sweeps": row_sweeps,
+            "kkt_residual": residual,
+            "handoff_sweep": handoff,
+        },
+    )
 
-    R = _candidate_points(px, f, rng, restarts)
+
+def _ascent(
+    W: np.ndarray, px: np.ndarray, py: np.ndarray, f: np.ndarray | None,
+    restarts: int, seed: int, max_iter: int,
+) -> tuple:
+    """The search of :func:`sstar` for |X| >= 2: the point where the Newton
+    finish ends, then the candidate count, the sweeps, whether the search
+    converged, the active starts' sweeps summed, the KKT residual there and
+    the handoff sweep, in the order of the diagnostics."""
+    nx = px.shape[0]
+    R = _candidate_points(px, f, np.random.default_rng(seed), restarts)
     vals, RY, num, den = _ratio_terms(R, W, px, py)
     n_candidates = R.shape[1]
 
@@ -400,10 +430,15 @@ def _sstar(
     # the active starts' points, outputs, values, numerators and denominators;
     # R, best_vals and den hold every start's state as of its retirement
     Ra, RYa, va, numa, dena = R, RY[:, keep], best_vals, num[keep], den
-    sweeps = 0
-    row_sweeps = 0
-    handoff = 0
+    sweeps = row_sweeps = handoff = 0
     converged = False
+
+    def finish():
+        # _leader reads every start, and the active ones lag in R, best_vals and den
+        R[:, act], best_vals[act], den[act] = Ra, va, dena
+        i = _leader(best_vals, den)
+        return _newton_finish(R[:, i], best_vals[i], float(den[i]), W, px, py)
+
     finished = None
     for _ in range(max_iter):
         sweeps += 1
@@ -446,40 +481,14 @@ def _sstar(
                < max(np.maximum.reduce(best_vals), np.maximum.reduce(va)))
         ):
             handoff = sweeps
-            R[:, act], best_vals[act], den[act] = Ra, va, dena
-            i = _leader(best_vals, den)
-            finished = _newton_finish(R[:, i], best_vals[i], float(den[i]), W, px, py)
+            finished = finish()
             if finished[2] and finished[1] >= np.maximum.reduce(va):
                 converged = True
                 break
             finished = None
 
-    if finished is None:
-        R[:, act], best_vals[act], den[act] = Ra, va, dena
-        i = _leader(best_vals, den)
-        finished = _newton_finish(R[:, i], best_vals[i], float(den[i]), W, px, py)
-    best_r, _, stationary, residual = finished
-    value, best_den = _ratio_at(best_r, W, px, py)
-    if best_den < SEARCH_EXCLUSION:
-        raise NumericalError(
-            "optimizer returned a point inside the excluded neighborhood"
-        )
-    return SStarResult(
-        value,
-        PMF(j.x_labels, best_r),
-        {
-            "restarts": restarts,
-            "seed": seed,
-            "tol": ASCENT_TOL,
-            "candidates": int(n_candidates),
-            "ascent_sweeps": int(sweeps),
-            "best_denominator_nats": float(best_den),
-            "converged": converged and stationary,
-            "ascent_row_sweeps": int(row_sweeps),
-            "kkt_residual": residual,
-            "handoff_sweep": handoff,
-        },
-    )
+    best_r, _, stationary, residual = finished or finish()
+    return best_r, n_candidates, sweeps, converged and stationary, row_sweeps, residual, handoff
 
 
 def ratio_for_u(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .distributions import JointDistribution, LogBase, channel_of, mutual_information, transpose
 from .spectral import CorrelationWitness, _witnesses
-from .sstar import SStarResult, _sstar
+from .sstar import SWEEP_CAP, SStarResult, _sstar
 from .tcurve import lambda_dagger
 
 __all__ = ["Measures", "measures"]
@@ -46,7 +46,7 @@ def measures(j: JointDistribution, *, restarts: int = 64, seed: int = 0) -> Meas
     and whatever ``sstar`` or ``lambda_dagger`` raise, in that order.
     """
     forward, backward = _witnesses(j)
-    sstar_xy = _sstar(j, forward.f, restarts, seed, max_iter=200)
-    sstar_yx = _sstar(transpose(j), backward.f, restarts, seed, max_iter=200)
+    sstar_xy = _sstar(j, forward.f, restarts, seed, SWEEP_CAP)
+    sstar_yx = _sstar(transpose(j), backward.f, restarts, seed, SWEEP_CAP)
     ld = lambda_dagger(channel_of(j)) if j.shape[0] == 2 else None
     return Measures(forward, sstar_xy, sstar_yx, mutual_information(j, LogBase.NATS), ld)

@@ -114,9 +114,9 @@ class TestJointAndChannel:
         np.testing.assert_allclose(c.pyx[1], [0.0, 0.5, 0.5], atol=1e-15)
 
     def test_channel_round_trip(self, fig2):
+        # input(x) pyx[x][y] gives the joint back
         c = channel_of(fig2)
-        back = c.joint()
-        np.testing.assert_allclose(back.pxy, fig2.pxy, atol=1e-15)
+        np.testing.assert_allclose(c.input.probs[:, None] * c.pyx, fig2.pxy, atol=1e-15)
 
     def test_channel_rejects_non_stochastic_rows(self):
         inp = PMF((0, 1), np.array([0.5, 0.5]))

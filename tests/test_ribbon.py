@@ -112,6 +112,17 @@ class TestContractionGap:
         assert np.array_equal(cols[:, ny], np.zeros(ny))
         assert np.allclose(np.exp(cols[:, ny + 1:]).sum(axis=0), 1.0)
 
+    @pytest.mark.parametrize("ny, seed", [(2, 0), (3, 7), (9, 1), (64, 4)])
+    def test_seed_columns_raise_no_floating_point_exception(self, ny, seed):
+        # the indicators' -inf entries are written, not taken as log(0), and
+        # every column keeps the bits of the log of the whole block
+        with np.errstate(all="raise"):
+            cols = _seed_columns(ny, seed)
+        draws = np.random.default_rng(seed).dirichlet(np.ones(ny), size=GAP_RESTARTS)
+        with np.errstate(divide="ignore"):
+            ref = np.log(np.concatenate([np.eye(ny), np.ones((ny, 1)), draws.T], axis=1))
+        assert cols.tobytes() == ref.tobytes()
+
     def test_p_equals_one_is_zero(self, fig2):
         assert contraction_gap(fig2, 1.0, 1.0) == 0.0
 

@@ -147,6 +147,27 @@ class TestSstar:
         ):
             assert key in diag
 
+    def test_one_input_symbol_reports_every_key_in_order(self, fig2):
+        # |X| = 1 leaves p(x) as the only input: nothing is searched, and the
+        # record has fig2's keys in fig2's order
+        j = joint_from_matrix([[0.2, 0.3, 0.5]], ("x",), (0, 1, 2))
+        res = sstar(j, restarts=5, seed=3)
+        assert res.value == 0.0
+        np.testing.assert_array_equal(res.maximizer.probs, [1.0])
+        assert list(res.diagnostics) == list(sstar(fig2).diagnostics)
+        assert res.diagnostics == {
+            "restarts": 0,
+            "seed": 3,
+            "tol": ASCENT_TOL,
+            "candidates": 0,
+            "ascent_sweeps": 0,
+            "best_denominator_nats": 0.0,
+            "converged": True,
+            "ascent_row_sweeps": 0,
+            "kkt_residual": 0.0,
+            "handoff_sweep": 0,
+        }
+
     def test_negative_restarts_rejected(self, fig2):
         with pytest.raises(ValidationError):
             sstar(fig2, restarts=-5)
