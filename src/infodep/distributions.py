@@ -347,15 +347,20 @@ def lp_norm(values, weights: PMF, p: float) -> float:
     * ``p > 0``: computed with max rescaling so large exponents do not overflow,
     * ``p = 0``: the geometric mean exp(E log |v|),
     * ``p < 0``: the usual formula on positive values,
-    * for ``p <= 0`` the norm is 0 as soon as a zero value carries weight.
+    * for ``p <= 0`` the norm is 0 as soon as a zero value carries weight,
+    * ``p = inf`` and ``p = -inf``: the largest and the smallest |v|.
 
-    Entries with zero weight are ignored.
+    Entries with zero weight are ignored.  A non-finite value, even one with
+    zero weight, or a NaN order raises :class:`ValidationError`.
     """
     v = np.abs(np.asarray(values, dtype=float).reshape(-1))
     if v.shape != weights.probs.shape:
         raise ValidationError(
             f"{v.shape[0]} values but {len(weights)} weights"
         )
+    _check_finite(v, "values")
+    if np.isnan(p):
+        raise ValidationError("the order p is NaN")
     mask = weights.probs > 0.0
     v = v[mask]
     w = weights.probs[mask]
@@ -373,12 +378,14 @@ def lp_norm(values, weights: PMF, p: float) -> float:
 
 
 def conditional_expectation(j: JointDistribution, g) -> np.ndarray:
-    """E[g(Y) | X = x] for each x, as an array aligned with ``j.x_labels``."""
+    """E[g(Y) | X = x] for each x, as an array aligned with ``j.x_labels``;
+    a non-finite entry of g raises :class:`ValidationError`."""
     g = np.asarray(g, dtype=float).reshape(-1)
     if g.shape[0] != len(j.y_labels):
         raise ValidationError(
             f"g has {g.shape[0]} entries but |Y| = {len(j.y_labels)}"
         )
+    _check_finite(g, "g")
     return (j.pxy @ g) / j.px
 
 

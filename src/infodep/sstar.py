@@ -423,21 +423,20 @@ def _ascent(
     n_candidates = R.shape[1]
 
     keep = np.argsort(-vals)[: max(restarts + nx + 8, 32)]
-    R, best_vals, den = R[:, keep], vals[keep], den[keep]
+    R, vals, den = R[:, keep], vals[keep], den[keep]
 
     alphas = 4.0 * 0.5 ** np.arange(14)
     act = np.arange(R.shape[1])
     # the active starts' points, outputs, values, numerators and denominators;
-    # R, best_vals and den hold every start's state as of its retirement
-    Ra, RYa, va, numa, dena = R, RY[:, keep], best_vals, num[keep], den
+    # each sweep writes its accepted steps into R, vals and den at one site,
+    # so those always hold every start's current state
+    Ra, RYa, va, numa, dena = R, RY[:, keep], vals, num[keep], den
     sweeps = row_sweeps = handoff = 0
     converged = False
 
     def finish():
-        # _leader reads every start, and the active ones lag in R, best_vals and den
-        R[:, act], best_vals[act], den[act] = Ra, va, dena
-        i = _leader(best_vals, den)
-        return _newton_finish(R[:, i], best_vals[i], float(den[i]), W, px, py)
+        i = _leader(vals, den)
+        return _newton_finish(R[:, i], vals[i], float(den[i]), W, px, py)
 
     finished = None
     for _ in range(max_iter):
@@ -464,21 +463,15 @@ def _ascent(
         # a start that did not improve would repeat the same failed step on
         # every later sweep, so it retires for good; its sweep depends on the
         # batch only through BLAS rounding (~1e-16 against the ASCENT_TOL test)
-        if not np.logical_and.reduce(improved):
-            out = ~improved
-            i = act[out]
-            R[:, i], best_vals[i], den[i] = Ra[:, out], va[out], dena[out]
-            cols, gain, scale = cols[improved], gain[improved], scale[improved]
-            act = act[improved]
+        cols, gain, scale, act = cols[improved], gain[improved], scale[improved], act[improved]
         Ra, RYa, va = S[:, cols], SY[:, cols], s_vals[cols]
         numa, dena = s_num[cols], s_den[cols]
+        R[:, act], vals[act], den[act] = Ra, va, dena
         # a start crawls when it gains at most HANDOFF_GAIN or cannot reach
-        # the leader at its gain in the sweeps left; best_vals lags only for
-        # active starts, whose values have risen since
+        # the leader at its gain in the sweeps left
         if not handoff and np.logical_and.reduce(
             (gain <= HANDOFF_GAIN * scale)
-            | (va + gain * (max_iter - sweeps)
-               < max(np.maximum.reduce(best_vals), np.maximum.reduce(va)))
+            | (va + gain * (max_iter - sweeps) < np.maximum.reduce(vals))
         ):
             handoff = sweeps
             finished = finish()

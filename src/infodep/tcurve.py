@@ -107,8 +107,11 @@ def hessian_t_lambda(c: Channel, r: PMF, lam: float) -> np.ndarray:
     d2/dr_x dr_x' = -sum_y p(y|x) p(y|x') / r_y + lambda * [x = x'] / r_x,
     and the quadratic form along a multiplicative direction d = r * f with
     E_r[f] = 0 evaluates to lambda * E[f^2] - E[E[f|Y]^2].  Interior points
-    only: a zero coordinate of r raises :class:`BoundaryPoint`.
+    only: a zero coordinate of r raises :class:`BoundaryPoint`, and lambda
+    outside [0, 1] (NaN included) raises :class:`LambdaOutOfRange`, as in
+    :func:`t_lambda`.
     """
+    lam = _check_lambda(lam)
     if r.labels != c.x_labels:
         raise LabelMismatch("r is not on the channel input alphabet")
     rx = r.probs
@@ -117,7 +120,7 @@ def hessian_t_lambda(c: Channel, r: PMF, lam: float) -> np.ndarray:
     W = c.pyx
     ry = rx @ W
     inv_ry = np.where(ry > 0.0, 1.0 / np.maximum(ry, 1e-300), 0.0)
-    full = -(W * inv_ry[None, :]) @ W.T + float(lam) * np.diag(1.0 / rx)
+    full = -(W * inv_ry[None, :]) @ W.T + lam * np.diag(1.0 / rx)
     n = rx.shape[0]
     basis = np.vstack([np.eye(n - 1), -np.ones(n - 1)])  # columns e_i - e_n
     reduced = basis.T @ full @ basis

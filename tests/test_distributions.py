@@ -441,6 +441,12 @@ class TestLpNorm:
             math.sqrt(2.5), abs=1e-14
         )
 
+    def test_infinite_orders_give_max_and_min(self):
+        w = PMF((0, 1, 2), np.array([0.2, 0.3, 0.5]))
+        g = np.array([-3.0, 0.5, 2.0])
+        assert lp_norm(g, w, math.inf) == 3.0
+        assert lp_norm(g, w, -math.inf) == 0.5
+
     def test_monotone_in_order(self):
         rng = np.random.default_rng(5)
         orders = (-1.0, 0.0, 0.5, 1.0, 2.0, 4.0)
@@ -499,11 +505,23 @@ class TestRefusals:
              ValidationError, "3 values but 2 weights"),
             (lambda j: conditional_expectation(j, [1.0, 2.0]),
              ValidationError, "g has 2 entries"),
+            (lambda j: lp_norm([1.0, math.inf], _INPUT, 2.0),
+             ValidationError, "values contains non-finite"),
+            (lambda j: lp_norm([1.0, math.nan], _INPUT, -1.0),
+             ValidationError, "values contains non-finite"),
+            (lambda j: lp_norm([1.0, 2.0], _INPUT, math.nan),
+             ValidationError, "order p is NaN"),
+            (lambda j: conditional_expectation(j, [math.inf, 1.0, 1.0]),
+             ValidationError, "g contains non-finite"),
+            (lambda j: conditional_expectation(j, [0.0, math.nan, 1.0]),
+             ValidationError, "g contains non-finite"),
         ],
         ids=[
             "empty labels", "pmf count", "joint shape", "channel shape",
             "channel negative entry", "channel zero input", "lp_norm length",
-            "conditional_expectation length",
+            "conditional_expectation length", "lp_norm infinite value",
+            "lp_norm NaN value", "lp_norm NaN order",
+            "conditional_expectation infinite g", "conditional_expectation NaN g",
         ],
     )
     def test_refused(self, fig2, build, error, says):

@@ -78,10 +78,11 @@ class TestTLambda:
 
     def test_lambda_out_of_range(self, fig2):
         c = channel_of(fig2)
-        with pytest.raises(LambdaOutOfRange):
-            t_lambda(c, binary_pmf(0.5), -0.1)
-        with pytest.raises(LambdaOutOfRange):
-            t_lambda(c, binary_pmf(0.5), 1.5)
+        for function in (t_lambda, hessian_t_lambda):
+            for lam in (-0.1, 1.5, math.nan):
+                with pytest.raises(LambdaOutOfRange) as exc:
+                    function(c, binary_pmf(0.5), lam)
+                assert exc.value.exit_code == 2
 
 
 class TestHessianTLambda:
