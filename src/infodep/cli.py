@@ -44,9 +44,9 @@ from .distributions import (
     product,
 )
 from .errors import InfodepError, ParseError, ValidationError
-from .ribbon import QSTAR_MAX_P, q_star_curve
+from .ribbon import QSTAR_MAX_P, _q_star_curve
 from .spectral import binary_rho_squared, maximal_correlation
-from .sstar import binary_u_from_conditionals, ratio_for_u, sstar
+from .sstar import SWEEP_CAP, _sstar, binary_u_from_conditionals, ratio_for_u
 from .summary import measures
 from .tcurve import ENVELOPE_GRID_N, _input_grid_index, lower_envelope_1d
 
@@ -226,16 +226,19 @@ def cmd_ribbon(args) -> int:
             f"--steps must be in [2, {RIBBON_MAX_STEPS}], got {args.steps!r}"
         )
     ps = np.geomspace(1.5, args.pmax, args.steps)
-    curve = q_star_curve(j, ps, seed=args.seed)
-    fwd = sstar(j, seed=args.seed)
-    rho = maximal_correlation(j).rho
+    # one witness serves q*, s* (with sstar's default restarts and sweep cap)
+    # and the rho^2 footer; a single-symbol alphabet has none, and
+    # maximal_correlation raises on it after the curve's checks
+    curve, w = _q_star_curve(j, ps, args.seed)
+    w = w or maximal_correlation(j)
+    fwd = _sstar(j, w.f, 64, args.seed, SWEEP_CAP)
     csv = ["p,q_star,slope"]
     csv += [
         f"{_fmt(p)},{_fmt(q)},{_fmt(s)}"
         for p, q, s in zip(curve.ps, curve.qstars, curve.slopes)
     ]
     csv.append(f"# sstar_xy,{_fmt(fwd.value)}")
-    csv.append(f"# rho_squared,{_fmt(rho**2)}")
+    csv.append(f"# rho_squared,{_fmt(w.rho**2)}")
     _emit("\n".join(csv) + "\n", args.out)
     if args.out is not None:
         print(f"source: {args.source}")
@@ -245,15 +248,16 @@ def cmd_ribbon(args) -> int:
 
 
 def cmd_tensor(args) -> int:
+    """rho and s* of two joints and of their independent product, with the
+    max-rule residuals: one SVD per joint, whose witness gives rho and
+    s*'s witness ray."""
     j1 = _resolve(args.source1)
     j2 = _resolve(args.source2)
     jp = product(j1, j2)
-    rho1 = maximal_correlation(j1).rho
-    rho2_ = maximal_correlation(j2).rho
-    rhop = maximal_correlation(jp).rho
-    s1 = sstar(j1, restarts=args.restarts, seed=args.seed).value
-    s2 = sstar(j2, restarts=args.restarts, seed=args.seed).value
-    sp = sstar(jp, restarts=args.restarts, seed=args.seed).value
+    witnesses = [maximal_correlation(j) for j in (j1, j2, jp)]
+    rho1, rho2_, rhop = (w.rho for w in witnesses)
+    s1, s2, sp = (_sstar(j, w.f, args.restarts, args.seed, SWEEP_CAP).value
+                  for j, w in zip((j1, j2, jp), witnesses))
     doc = ReportDocument(
         inputs={"source_1": args.source1, "source_2": args.source2,
                 "product_shape": f"{jp.shape[0]}x{jp.shape[1]}"},

@@ -85,8 +85,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import JointDistribution, _check_count
-from .errors import BadOrder, DegenerateAlphabet, PEqualsOne, ValidationError
-from .spectral import maximal_correlation
+from .errors import BadOrder, PEqualsOne, ValidationError
+from .spectral import _witness_or_none
 
 __all__ = [
     "QStarCurve",
@@ -343,18 +343,17 @@ def _crossing(
 
 
 def _q_star(
-    j: JointDistribution, p: float, *, seed: int
+    j: JointDistribution, p: float, rho: float, *, seed: int
 ) -> tuple[float, np.ndarray | None, int, int]:
-    """q_star, the column of log g whose crossing it is (None at the
-    floor), the outer steps and the sweeps run in total."""
+    """q_star from the floor 1 + rho^2 (p - 1), with ``rho`` the maximal
+    correlation of j that the caller computed (0 when an alphabet has one
+    symbol), as ``sstar._sstar`` takes the witness f; then the column of
+    log g whose crossing it is (None at the floor), the outer steps and the
+    sweeps run in total."""
     p = float(p)
     if not 1.0 <= p <= QSTAR_MAX_P:
         raise ValidationError(f"p must be in [1, {QSTAR_MAX_P:g}], got {p!r}")
     seed = _check_count(seed, "seed")
-    try:
-        rho = maximal_correlation(j).rho
-    except DegenerateAlphabet:
-        rho = 0.0
     q = floor = 1.0 + rho * rho * (p - 1.0)
     if p - 1.0 < 1e-12 or floor == 1.0:
         return floor, None, 0, 0
@@ -399,21 +398,34 @@ def q_star(j: JointDistribution, p: float, *, seed: int = 0) -> float:
     A single-symbol alphabet counts as rho = 0.  p must lie in
     [1, ``QSTAR_MAX_P``].
     """
-    return _q_star(j, p, seed=seed)[0]
+    w = _witness_or_none(j)
+    return _q_star(j, p, 0.0 if w is None else w.rho, seed=seed)[0]
 
 
 def q_star_curve(j: JointDistribution, ps, *, seed: int = 0) -> QStarCurve:
-    """q*(p) and chordal slopes over an increasing sequence of p > 1 values."""
+    """q*(p) and chordal slopes over an increasing sequence of p > 1 values.
+
+    Each q*(p) is bit for bit ``q_star(j, p, seed=seed)``, and one SVD
+    serves them all: rho, which sets every p's floor, is computed once.
+    """
+    return _q_star_curve(j, ps, seed)[0]
+
+
+def _q_star_curve(j: JointDistribution, ps, seed: int) -> tuple:
+    """:func:`q_star_curve`, and the witness whose rho it read, None when
+    an alphabet has one symbol.  The p values are checked before the SVD."""
     ps = np.asarray(list(ps), dtype=float)
     if ps.size == 0 or ps.min() <= 1.0 or ps.max() > QSTAR_MAX_P:
         raise ValidationError(f"curve sampling needs p values in (1, {QSTAR_MAX_P:g}]")
     if np.any(np.diff(ps) <= 0.0):
         raise ValidationError("p values must be strictly increasing")
-    qstars = np.array([q_star(j, p, seed=seed) for p in ps])
+    w = _witness_or_none(j)
+    rho = 0.0 if w is None else w.rho
+    qstars = np.array([_q_star(j, p, rho, seed=seed)[0] for p in ps])
     slopes = (qstars - 1.0) / (ps - 1.0)
     for a in (ps, qstars, slopes):
         a.setflags(write=False)
-    return QStarCurve(ps, qstars, slopes)
+    return QStarCurve(ps, qstars, slopes), w
 
 
 def chordal_slope(j: JointDistribution, p: float, *, seed: int = 0) -> float:

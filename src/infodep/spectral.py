@@ -160,6 +160,12 @@ def maximal_correlation(j: JointDistribution) -> CorrelationWitness:
     return _witnesses(j)[0]
 
 
+def _witness_or_none(j: JointDistribution) -> CorrelationWitness | None:
+    """:func:`maximal_correlation` of j, None when an alphabet has one symbol
+    (where it raises :class:`DegenerateAlphabet`)."""
+    return maximal_correlation(j) if min(j.shape) > 1 else None
+
+
 def binary_rho_squared(j: JointDistribution) -> float:
     """Closed form rho^2 = sum_{x,y} p(x,y)^2/(p(x)p(y)) - 1 when an alphabet is binary.
 

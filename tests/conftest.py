@@ -19,6 +19,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
+def svd_calls(monkeypatch) -> list:
+    """The shapes of the matrices passed to ``np.linalg.svd`` from here on."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.fixture
 def fig2() -> JointDistribution:
     return builtin("fig2")
 

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import infodep
-from infodep import builtin, errors, sstar
+from infodep import builtin, errors, maximal_correlation, product, q_star_curve, sstar
 from infodep.catalog import BUILTIN_HELP
-from infodep.cli import RIBBON_MAX_STEPS, main
+from infodep.cli import RIBBON_MAX_STEPS, _fmt, main
 from infodep.distributions import MAX_ALPHABET, channel_of, load_joint_json
 from infodep.sstar import MAX_RESTARTS
 from infodep.tcurve import MAX_GRID_N, lambda_dagger
@@ -364,6 +364,19 @@ class TestRibbon:
         assert len(slopes) == 4
         assert min(slopes) >= rho2, slopes
 
+    def test_one_svd_serves_every_row_and_footer(self, capsys, svd_calls, fig2):
+        code, out, err = run(capsys, "ribbon", "fig2", "--steps", "4", "--pmax", "8")
+        assert code == 0 and len(svd_calls) == 1
+        # the rows and footers of q_star_curve, sstar and maximal_correlation
+        curve = q_star_curve(fig2, np.geomspace(1.5, 8.0, 4))
+        rows = [",".join(map(_fmt, r)) for r in zip(curve.ps, curve.qstars, curve.slopes)]
+        assert out.splitlines() == [
+            "p,q_star,slope",
+            *rows,
+            f"# sstar_xy,{_fmt(sstar(fig2).value)}",
+            f"# rho_squared,{_fmt(maximal_correlation(fig2).rho ** 2)}",
+        ]
+
     def test_independent_boundary_collapses(self, capsys):
         code, out, err = run(
             capsys, "ribbon", "independent", "--pmax", "4", "--steps", "2"
@@ -406,7 +419,7 @@ class TestRibbon:
         def no_curve(*args, **kwargs):
             raise AssertionError("a q* curve was computed")
 
-        monkeypatch.setattr("infodep.cli.q_star_curve", no_curve)
+        monkeypatch.setattr("infodep.cli._q_star_curve", no_curve)
         code, out, err = run(
             capsys, "ribbon", "fig2", "--steps", str(RIBBON_MAX_STEPS + 1)
         )
@@ -423,6 +436,17 @@ class TestTensor:
         assert float(resid.split(":")[1]) < 1e-8
         sresid = [l for l in out.splitlines() if "sstar_max_rule_residual" in l][0]
         assert float(sresid.split(":")[1]) < 1e-3
+
+    def test_one_svd_per_joint(self, capsys, svd_calls):
+        code, out, err = run(capsys, "tensor", "bec:0.25", "bsc:0.1")
+        assert code == 0 and len(svd_calls) == 3
+        # each value is its own public function's
+        joints = (builtin("bec:0.25"), builtin("bsc:0.1"))
+        joints += (product(*joints),)
+        values = dict(line.split(": ") for line in out.splitlines())
+        for key, j in zip(("1", "2", "product"), joints):
+            assert values[f"rho_{key}"] == _fmt(maximal_correlation(j).rho)
+            assert values[f"sstar_{key}"] == _fmt(sstar(j).value)
 
     def test_negative_restarts_exits_2(self, capsys):
         code, out, err = run(capsys, "tensor", "fig2", "remark3", "--restarts", "-5")

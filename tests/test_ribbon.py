@@ -46,6 +46,12 @@ from infodep.ribbon import (
 )
 from conftest import random_independent, random_joint
 
+
+def _climb(j, p):
+    """_q_star at seed 0 with rho from maximal_correlation, as q_star calls it."""
+    return _q_star(j, p, maximal_correlation(j).rho, seed=0)
+
+
 #: the accuracy the bisection q_star was run to (the width of its final
 #: bracket), kept as the bound on comparisons with it
 BISECTION_WIDTH = 1e-4
@@ -377,7 +383,7 @@ class TestSweepCount:
         assert bool(passed) == (q == 1.25)
 
     def test_binary_alphabet_converges(self, fig2, remark3):
-        assert _q_star(remark3, 4.0, seed=0)[3] == 22
+        assert _climb(remark3, 4.0)[3] == 22
         assert len(_sweep_gaps(fig2, 128.0, 80.0)) == 26
 
     def test_each_run_ends_a_fixed_count_after_its_first_witness(self, fig2, monkeypatch):
@@ -392,7 +398,7 @@ class TestSweepCount:
                 yield it
 
         monkeypatch.setattr("infodep.ribbon._sweeps", record)
-        _, _, steps, sweeps = _q_star(fig2, 4.0, seed=0)
+        _, _, steps, sweeps = _climb(fig2, 4.0)
         assert (len(runs), sum(map(len, runs))) == (steps, sweeps) == (7, 36)
         for run in runs[:-1]:
             assert len(run) - 1 - run.index(True) == _WITNESS_EXTRA
@@ -725,7 +731,7 @@ class TestQStar:
 
         monkeypatch.setattr("infodep.ribbon._crossing", crossing)
         floor = 1.0 + maximal_correlation(fig2).rho ** 2 * (4.0 - 1.0)
-        q, witness, steps, _ = _q_star(fig2, 4.0, seed=0)
+        q, witness, steps, _ = _climb(fig2, 4.0)
         assert calls == [(floor, 4.0)] and steps == 1
         assert q == (4.0 if ends_at_p else floor)
         assert (witness is not None) == ends_at_p
@@ -889,7 +895,7 @@ class TestCrossing:
             return calls[-1][1]
 
         monkeypatch.setattr("infodep.ribbon._crossing", record)
-        _q_star(j, p, seed=0)
+        _climb(j, p)
         assert calls
         for (logG, norms, _, lo, hi), (q, col) in calls:
             # the largest crossing: its column crosses at q, and no column
@@ -913,7 +919,7 @@ class TestQStarWitness:
     @staticmethod
     def _check_witness(name, p):
         j = _ribbon_cases()[name]
-        q, log_g, steps, sweeps = _q_star(j, p, seed=0)
+        q, log_g, steps, sweeps = _climb(j, p)
         assert q == q_star(j, p) and 1 <= steps <= sweeps
         lhs, rhs = _linear_norms(j, log_g, p, q)
         assert abs(lhs / rhs - 1.0) <= 1e-12, (lhs, rhs)
@@ -931,8 +937,8 @@ class TestQStarWitness:
         self._check_witness(name, p)
 
     def test_exact_one_has_no_witness(self, independent):
-        assert _q_star(independent, 4.0, seed=0) == (1.0, None, 0, 0)
-        assert _q_star(builtin("fig2"), 1.0, seed=0) == (1.0, None, 0, 0)
+        assert _climb(independent, 4.0) == (1.0, None, 0, 0)
+        assert _climb(builtin("fig2"), 1.0) == (1.0, None, 0, 0)
 
 
 #: a seeded 2x2 to 3x3 Dirichlet joint and an order p in [1.2, 32]
@@ -987,6 +993,13 @@ class TestQStarCurve:
         rho2 = binary_rho_squared(fig2)
         for s in curve.slopes:
             assert s >= rho2 - 5e-3
+
+    @pytest.mark.parametrize("name", ["fig2", "remark3", "independent"])
+    def test_each_point_is_q_star_from_one_svd(self, name, svd_calls):
+        j, ps = builtin(name), (1.05, 1.5, 4.0, 32.0)
+        qstars = q_star_curve(j, ps).qstars
+        assert len(svd_calls) == 1
+        assert qstars.tobytes() == np.array([q_star(j, p) for p in ps]).tobytes()
 
     def test_requires_increasing_orders(self, fig2):
         with pytest.raises(ValidationError):

@@ -68,31 +68,18 @@ def test_each_answer_is_its_own_functions_bit_for_bit(name):
     assert m.lambda_dagger == ld
 
 
-def _count_svd(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    return calls
-
-
 @pytest.mark.parametrize("name", ["fig2", "remark3", "J x J", "random 9x3"])
-def test_measures_runs_one_svd(name, monkeypatch):
+def test_measures_runs_one_svd(name, svd_calls):
     j = _joint(name)
-    calls = _count_svd(monkeypatch)
+    svd_calls.clear()
     measures(j)
-    assert len(calls) == 1
+    assert len(svd_calls) == 1
 
 
 @pytest.mark.parametrize("source", ["fig2", "remark3", "bsc:0.2"])
-def test_cli_measures_runs_one_svd(source, monkeypatch, capsys):
-    calls = _count_svd(monkeypatch)
+def test_cli_measures_runs_one_svd(source, svd_calls, capsys):
     assert main(["measures", source]) == 0
-    assert len(calls) == 1
+    assert len(svd_calls) == 1
     assert "sstar_yx" in capsys.readouterr().out
 
 
