@@ -21,33 +21,39 @@ strings (``bec:1/4``).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .distributions import JointDistribution, joint_from_matrix
+from .distributions import JointDistribution, _parse_prob, joint_from_matrix
 from .errors import ParseError
 
 __all__ = ["builtin"]
 
-BUILTIN_HELP = "fig2 | remark3 | bsc:<eps> | bec:<e> | independent"
+#: each built-in by its name in ``BUILTIN_HELP``, with its y labels and its
+#: table, a function of the parameter after the colon for ``bsc:<eps>`` and
+#: ``bec:<e>``; every x alphabet is (0, 1)
+_BUILTINS = {
+    "fig2": ((0, "E", 1), [[1 / 3, 1 / 6, 0.0], [0.0, 1 / 4, 1 / 4]]),
+    "remark3": ((0, 1), [[0.36, 0.49], [0.03, 0.12]]),
+    "bsc:<eps>": ((0, 1), lambda eps: [[(1 - eps) / 2, eps / 2], [eps / 2, (1 - eps) / 2]]),
+    "bec:<e>": ((0, "E", 1), lambda e: [[(1 - e) / 2, e / 2, 0.0], [0.0, e / 2, (1 - e) / 2]]),
+    "independent": ((0, 1), [[0.25, 0.25], [0.25, 0.25]]),
+}
 
-_FIXED = ("fig2", "remark3", "independent")
-_PARAMETRIC = ("bsc", "bec")
+BUILTIN_HELP = " | ".join(_BUILTINS)
+
+
+def _entry(name: str) -> tuple | None:
+    """The ``_BUILTINS`` entry whose name agrees with ``name`` up to and
+    including any colon, else None."""
+    head = name.partition(":")[:2]
+    return next((v for k, v in _BUILTINS.items() if k.partition(":")[:2] == head), None)
 
 
 def is_builtin(name: str) -> bool:
     """Whether the token names a built-in distribution (vs. a file path)."""
-    if name in _FIXED:
-        return True
-    head = name.split(":", 1)[0]
-    return ":" in name and head in _PARAMETRIC
+    return _entry(name) is not None
 
 
 def _param(name: str) -> float:
-    text = name.split(":", 1)[1]
-    try:
-        value = float(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{name!r}: cannot parse parameter {text!r}") from exc
+    value = _parse_prob(name.partition(":")[2], repr(name))
     if not 0.0 <= value <= 1.0:
         raise ParseError(f"{name!r}: parameter must be in [0, 1], got {value!r}")
     return value
@@ -55,25 +61,8 @@ def _param(name: str) -> float:
 
 def builtin(name: str) -> JointDistribution:
     """The named built-in joint distribution; ParseError on unknown names."""
-    if name == "fig2":
-        return joint_from_matrix(
-            [[1 / 3, 1 / 6, 0.0], [0.0, 1 / 4, 1 / 4]], (0, 1), (0, "E", 1)
-        )
-    if name == "remark3":
-        return joint_from_matrix([[0.36, 0.49], [0.03, 0.12]], (0, 1), (0, 1))
-    if name == "independent":
-        return joint_from_matrix([[0.25, 0.25], [0.25, 0.25]], (0, 1), (0, 1))
-    head = name.split(":", 1)[0]
-    if ":" in name and head == "bsc":
-        eps = _param(name)
-        return joint_from_matrix(
-            [[(1 - eps) / 2, eps / 2], [eps / 2, (1 - eps) / 2]], (0, 1), (0, 1)
-        )
-    if ":" in name and head == "bec":
-        e = _param(name)
-        return joint_from_matrix(
-            [[(1 - e) / 2, e / 2, 0.0], [0.0, e / 2, (1 - e) / 2]],
-            (0, 1),
-            (0, "E", 1),
-        )
-    raise ParseError(f"unknown built-in distribution {name!r} (try {BUILTIN_HELP})")
+    entry = _entry(name)
+    if entry is None:
+        raise ParseError(f"unknown built-in distribution {name!r} (try {BUILTIN_HELP})")
+    y_labels, table = entry
+    return joint_from_matrix(table(_param(name)) if callable(table) else table, (0, 1), y_labels)

@@ -46,7 +46,7 @@ from .distributions import (
 from .errors import InfodepError, ParseError, ValidationError
 from .ribbon import QSTAR_MAX_P, _q_star_curve
 from .spectral import binary_rho_squared, maximal_correlation
-from .sstar import SWEEP_CAP, _sstar, binary_u_from_conditionals, ratio_for_u
+from .sstar import RESTARTS, _sstar, binary_u_from_conditionals, ratio_for_u
 from .summary import measures
 from .tcurve import ENVELOPE_GRID_N, _input_grid_index, lower_envelope_1d
 
@@ -231,7 +231,7 @@ def cmd_ribbon(args) -> int:
     # maximal_correlation raises on it after the curve's checks
     curve, w = _q_star_curve(j, ps, args.seed)
     w = w or maximal_correlation(j)
-    fwd = _sstar(j, w.f, 64, args.seed, SWEEP_CAP)
+    fwd = _sstar(j, w.f, seed=args.seed)
     csv = ["p,q_star,slope"]
     csv += [
         f"{_fmt(p)},{_fmt(q)},{_fmt(s)}"
@@ -256,7 +256,7 @@ def cmd_tensor(args) -> int:
     jp = product(j1, j2)
     witnesses = [maximal_correlation(j) for j in (j1, j2, jp)]
     rho1, rho2_, rhop = (w.rho for w in witnesses)
-    s1, s2, sp = (_sstar(j, w.f, args.restarts, args.seed, SWEEP_CAP).value
+    s1, s2, sp = (_sstar(j, w.f, args.restarts, args.seed).value
                   for j, w in zip((j1, j2, jp), witnesses))
     doc = ReportDocument(
         inputs={"source_1": args.source1, "source_2": args.source2,
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help=source_help)
     p.add_argument("--base", choices=["bits", "nats"], default="bits")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--restarts", type=int, default=RESTARTS)
     p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser(
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source1", help=source_help)
     p.add_argument("source2", help=source_help)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--restarts", type=int, default=RESTARTS)
     p.set_defaults(func=cmd_tensor)
     return parser
 

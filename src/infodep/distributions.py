@@ -17,8 +17,8 @@ import enum
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -62,6 +62,16 @@ NEG_ATOL = 1e-12
 #: the most symbols an alphabet of a joint distribution or channel may have:
 #: each array of a q* sweep holds |X| or |Y| times |Y| + 97 floats
 MAX_ALPHABET = 64
+#: a probability string as :class:`fractions.Fraction` reads it from Python
+#: 3.12 on: an integer ratio such as "1/3", or a decimal such as "1e-3"
+_TOKEN = re.compile(
+    r"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)(?:\s*/\s*(?P<den>\d+(?:_\d+)*)"
+    r"|(?:\.(?P<dec>\d*|\d+(?:_\d+)*))?(?:e(?P<exp>[-+]?\d+(?:_\d+)*))?)\s*",
+    re.IGNORECASE,
+)
+#: powers of ten past which a decimal overflows, or past its digits rounds to
+#: zero, whatever its exponent: 10^400 > 2^1024 and 10^-400 < 2^-1075
+_EXP_BOUND = 400
 
 
 class LogBase(enum.Enum):
@@ -127,6 +137,19 @@ def _clean_probs(arr: np.ndarray, what: str, axis: int | None = None) -> np.ndar
     return arr / s
 
 
+def _set_probs(obj, name: str, values, what: str, *labels: tuple, axis: int | None = None) -> None:
+    """Set field ``name`` of the frozen ``obj`` to ``values`` checked against
+    the lengths of ``labels`` and by :func:`_clean_probs`, as a new read-only
+    float array; ``values`` itself is never kept or written."""
+    arr = np.asarray(values, dtype=float)
+    shape = tuple(map(len, labels))
+    if arr.shape != shape:
+        raise ValidationError(f"shape {arr.shape} does not match the labels' {shape}")
+    arr = _clean_probs(arr, what, axis)
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class PMF:
     """A probability mass function over an ordered tuple of labels.
@@ -140,14 +163,8 @@ class PMF:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", _as_labels(self.labels))
-        arr = np.asarray(self.probs, dtype=float).reshape(-1).copy()
-        if arr.shape != (len(self.labels),):
-            raise ValidationError(
-                f"{len(self.labels)} labels but {arr.shape[0]} probabilities"
-            )
-        arr = _clean_probs(arr, "pmf")
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+        probs = np.asarray(self.probs, dtype=float).reshape(-1)
+        _set_probs(self, "probs", probs, "pmf", self.labels)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -166,19 +183,11 @@ class JointDistribution:
         object.__setattr__(self, "x_labels", _as_labels(self.x_labels))
         object.__setattr__(self, "y_labels", _as_labels(self.y_labels))
         _check_sizes(len(self.x_labels), len(self.y_labels))
-        arr = np.asarray(self.pxy, dtype=float).copy()
-        if arr.shape != (len(self.x_labels), len(self.y_labels)):
-            raise ValidationError(
-                f"matrix shape {arr.shape} does not match labels "
-                f"({len(self.x_labels)}, {len(self.y_labels)})"
-            )
-        arr = _clean_probs(arr, "joint matrix")
-        if arr.sum(axis=1).min() <= 0.0:
+        _set_probs(self, "pxy", self.pxy, "joint matrix", self.x_labels, self.y_labels)
+        if self.pxy.sum(axis=1).min() <= 0.0:
             raise ZeroMarginal("a row of the joint matrix sums to zero")
-        if arr.sum(axis=0).min() <= 0.0:
+        if self.pxy.sum(axis=0).min() <= 0.0:
             raise ZeroMarginal("a column of the joint matrix sums to zero")
-        arr.setflags(write=False)
-        object.__setattr__(self, "pxy", arr)
 
     @property
     def px(self) -> np.ndarray:
@@ -207,14 +216,7 @@ class Channel:
         object.__setattr__(self, "x_labels", _as_labels(self.x_labels))
         object.__setattr__(self, "y_labels", _as_labels(self.y_labels))
         _check_sizes(len(self.x_labels), len(self.y_labels))
-        arr = np.asarray(self.pyx, dtype=float).copy()
-        if arr.shape != (len(self.x_labels), len(self.y_labels)):
-            raise ValidationError(
-                f"channel shape {arr.shape} does not match labels"
-            )
-        arr = _clean_probs(arr, "channel row", axis=1)
-        arr.setflags(write=False)
-        object.__setattr__(self, "pyx", arr)
+        _set_probs(self, "pyx", self.pyx, "channel row", self.x_labels, self.y_labels, axis=1)
         if self.input.labels != self.x_labels:
             raise LabelMismatch("channel input labels differ from x labels")
         if self.input.probs.min() <= 0.0:
@@ -390,14 +392,33 @@ def conditional_expectation(j: JointDistribution, g) -> np.ndarray:
 
 
 def _parse_prob(v, where: str) -> float:
+    """A JSON entry or a channel parameter as a float: a number as ``float``
+    reads it, a string as ``float(Fraction(v))`` does, by the same integer
+    division, in ``_TOKEN``'s grammar.  ParseError on anything else and on
+    a value past the largest float.  The time is bounded by the token's
+    length: an exponent is clamped to ``_EXP_BOUND`` powers of ten past the
+    point where it stops moving the rounding."""
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise ParseError(f"{where}: probability must be a number or fraction string")
-    if isinstance(v, str):
-        try:
-            return float(Fraction(v))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: cannot parse probability {v!r}") from exc
-    return float(v)
+    try:
+        if not isinstance(v, str):
+            return float(v)
+        m = _TOKEN.fullmatch(v)
+        if m is None:
+            raise ValueError(v)
+        num = int(m["num"] or "0")
+        if m["den"]:
+            den = int(m["den"])
+        else:
+            dec = (m["dec"] or "").replace("_", "")
+            if dec:
+                num = num * 10 ** len(dec) + int(dec)
+            e = int(m["exp"] or "0") - len(dec)
+            e = max(-_EXP_BOUND - len(m["num"]) - len(dec), min(e, _EXP_BOUND))
+            num, den = num * 10 ** max(e, 0), 10 ** max(-e, 0)
+        return (-num if m["sign"] == "-" else num) / den
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ParseError(f"{where}: cannot parse probability {v!r}") from exc
 
 
 def load_joint_json(path) -> JointDistribution:
@@ -408,14 +429,17 @@ def load_joint_json(path) -> JointDistribution:
         {"x_labels": [...], "y_labels": [...], "pxy": [[...], ...]}
 
     Matrix entries may be numbers or exact fraction strings such as ``"1/3"``.
+    The file must be UTF-8, and each alphabet is capped at ``MAX_ALPHABET``
+    symbols before any entry is read.
     """
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # not UTF-8, or an integer past Python's digit limit
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     for key in ("x_labels", "y_labels", "pxy"):
@@ -424,6 +448,7 @@ def load_joint_json(path) -> JointDistribution:
     x_labels, y_labels, rows = doc["x_labels"], doc["y_labels"], doc["pxy"]
     if not isinstance(x_labels, list) or not isinstance(y_labels, list):
         raise ParseError(f"{path}: x_labels and y_labels must be lists")
+    _check_sizes(len(x_labels), len(y_labels))
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ParseError(f"{path}: pxy must be a list of rows")
     if len(rows) != len(x_labels) or any(len(r) != len(y_labels) for r in rows):

@@ -75,6 +75,8 @@ SEARCH_EXCLUSION = 1e-9
 NUM_NOISE_FLOOR = 1e-13
 #: relative gain below which an ascent step does not count as improving
 ASCENT_TOL = 1e-9
+#: sstar's default number of Dirichlet restarts
+RESTARTS = 64
 #: sstar's default cap on the ascent's sweeps
 SWEEP_CAP = 200
 #: the largest KKT residual at which sstar reports ``converged``.  On 412
@@ -320,7 +322,7 @@ def _kkt_residual(rs: np.ndarray, g: np.ndarray, den: float) -> float:
 
 def sstar(
     j: JointDistribution,
-    restarts: int = 64,
+    restarts: int = RESTARTS,
     seed: int = 0,
     max_iter: int = SWEEP_CAP,
 ) -> SStarResult:
@@ -369,7 +371,8 @@ def sstar(
 
 
 def _sstar(
-    j: JointDistribution, f: np.ndarray | None, restarts: int, seed: int, max_iter: int
+    j: JointDistribution, f: np.ndarray | None,
+    restarts: int = RESTARTS, seed: int = 0, max_iter: int = SWEEP_CAP,
 ) -> SStarResult:
     """:func:`sstar` with the witness f of ``maximal_correlation(j)``, None
     when an alphabet has one symbol."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .distributions import JointDistribution, LogBase, channel_of, mutual_information, transpose
 from .spectral import CorrelationWitness, _witnesses
-from .sstar import SWEEP_CAP, SStarResult, _sstar
+from .sstar import RESTARTS, SStarResult, _sstar
 from .tcurve import lambda_dagger
 
 __all__ = ["Measures", "measures"]
@@ -38,7 +38,7 @@ class Measures:
     lambda_dagger: float | None
 
 
-def measures(j: JointDistribution, *, restarts: int = 64, seed: int = 0) -> Measures:
+def measures(j: JointDistribution, *, restarts: int = RESTARTS, seed: int = 0) -> Measures:
     """rho, s*(X;Y), s*(Y;X), I(X;Y) and (binary X) lambda-dagger of j, from
     one SVD.
 
@@ -46,7 +46,7 @@ def measures(j: JointDistribution, *, restarts: int = 64, seed: int = 0) -> Meas
     and whatever ``sstar`` or ``lambda_dagger`` raise, in that order.
     """
     forward, backward = _witnesses(j)
-    sstar_xy = _sstar(j, forward.f, restarts, seed, SWEEP_CAP)
-    sstar_yx = _sstar(transpose(j), backward.f, restarts, seed, SWEEP_CAP)
+    sstar_xy = _sstar(j, forward.f, restarts, seed)
+    sstar_yx = _sstar(transpose(j), backward.f, restarts, seed)
     ld = lambda_dagger(channel_of(j)) if j.shape[0] == 2 else None
     return Measures(forward, sstar_xy, sstar_yx, mutual_information(j, LogBase.NATS), ld)

@@ -12,9 +12,9 @@ import pytest
 
 import infodep
 from infodep import builtin, errors, maximal_correlation, product, q_star_curve, sstar
-from infodep.catalog import BUILTIN_HELP
+from infodep.catalog import BUILTIN_HELP, _param
 from infodep.cli import RIBBON_MAX_STEPS, _fmt, main
-from infodep.distributions import MAX_ALPHABET, channel_of, load_joint_json
+from infodep.distributions import MAX_ALPHABET, _parse_prob, channel_of, load_joint_json
 from infodep.sstar import MAX_RESTARTS
 from infodep.tcurve import MAX_GRID_N, lambda_dagger
 
@@ -154,6 +154,110 @@ class TestInfo:
         with pytest.raises(SystemExit) as exc:
             main(["info"])  # missing source
         assert exc.value.code == 2
+
+
+#: a 2x2 JSON table whose first entry is the JSON text filled in for %s
+TABLE_WITH = '{"x_labels": [0, 1], "y_labels": [0, 1], "pxy": [[%s, 0.5], [0.5, 0]]}'
+
+
+class TestOutsideInput:
+    """Entries and channel parameters read by one parser, which refuses
+    with exit 2 what no finite float holds and reads every token in time
+    bounded by its length."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            b"\xff\xfe\x00x",
+            (TABLE_WITH % ("1" * 4301)).encode(),
+            (TABLE_WITH % ("1" * 400)).encode(),
+            (TABLE_WITH % '"1e400"').encode(),
+            "bsc:1e400",
+            "bec:1e400",
+        ],
+        ids=["not utf-8", "4301-digit integer", "400-digit integer", "string 1e400",
+             "bsc:1e400", "bec:1e400"],
+    )
+    def test_unreadable_input_exits_2(self, capsys, tmp_path, source):
+        if isinstance(source, bytes):
+            path = tmp_path / "entry.json"
+            path.write_bytes(source)
+            source = str(path)
+        code, out, err = run(capsys, "info", source)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_huge_exponent_parses_at_once(self, tmp_path):
+        # in a subprocess, so that a parser that builds 10^999999999 fails
+        # on the timeout instead of hanging the suite
+        path = tmp_path / "tiny.json"
+        path.write_text(TABLE_WITH % '"1e-999999999"')
+        script = textwrap.dedent(
+            f"""
+            import time
+            from infodep import builtin
+            from infodep.distributions import load_joint_json
+            start = time.perf_counter()
+            tables = [load_joint_json({str(path)!r}).pxy, builtin("bsc:1e-999999999").pxy]
+            print(time.perf_counter() - start)
+            print([t.tolist() for t in tables])
+            """
+        )
+        src = str(Path(infodep.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        seconds, tables = done.stdout.splitlines()
+        assert float(seconds) < 1.0
+        assert tables == str([[[0.0, 0.5], [0.5, 0.0]], [[0.5, 0.0], [0.0, 0.5]]])
+
+    def test_oversized_table_refused_before_its_entries(self, capsys, tmp_path):
+        # every entry is unreadable, so only a refusal that reads none of
+        # them exits 3
+        n = MAX_ALPHABET + 1
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "x_labels": [0, 1], "y_labels": list(range(n)), "pxy": [["?"] * n] * 2,
+        }))
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 3 and out == ""
+        assert err == f"error: alphabets 2x{n} exceed the {MAX_ALPHABET}-symbol limit\n"
+
+    @pytest.mark.parametrize(
+        "token, expected",
+        [
+            ("1/3", "0x1.5555555555555p-2"),
+            ("0.1", "0x1.999999999999ap-4"),
+            (" 1/4 ", "0x1.0000000000000p-2"),
+            ("2/8", "0x1.0000000000000p-2"),
+            ("1 / 3", "0x1.5555555555555p-2"),
+            ("1e-3", "0x1.0624dd2f1a9fcp-10"),
+            ("1e-400", "0x0.0p+0"),
+            ("0", "0x0.0p+0"),
+            ("1", "0x1.0000000000000p+0"),
+            pytest.param(1, "0x1.0000000000000p+0", id="int 1"),
+            pytest.param(0.25, "0x1.0000000000000p-2", id="float 0.25"),
+            ("1e400", None),
+            pytest.param(10**400, None, id="int 10**400"),
+        ],
+    )
+    def test_token_table(self, token, expected):
+        # the floats float(Fraction(token)) gives, None where it overflows
+        # (Python 3.12 on: "1 / 3" is refused by 3.11's Fraction); a channel
+        # parameter reads the same way
+        parsers = [lambda t: _parse_prob(t, "entry")]
+        if isinstance(token, str):
+            parsers.append(lambda t: _param(f"bsc:{t}"))
+        for parse in parsers:
+            if expected is None:
+                with pytest.raises(errors.ParseError, match="cannot parse"):
+                    parse(token)
+            else:
+                assert parse(token).hex() == expected
 
 
 class TestMeasures:

@@ -492,11 +492,12 @@ class TestRefusals:
         "build, error, says",
         [
             (lambda j: PMF((), []), ValidationError, "label list is empty"),
-            (lambda j: PMF((0, 1), [1.0]), ValidationError, "2 labels but 1"),
+            (lambda j: PMF((0, 1), [1.0]), ValidationError,
+             r"shape \(1,\) does not match the labels' \(2,\)"),
             (lambda j: JointDistribution((0, 1), (0, 1), [[0.5, 0.5]]),
-             ValidationError, "does not match labels"),
+             ValidationError, r"shape \(1, 2\) does not match the labels' \(2, 2\)"),
             (lambda j: Channel((0, 1), (0, 1), [[1.0, 0.0]], _INPUT),
-             ValidationError, "channel shape"),
+             ValidationError, r"shape \(1, 2\) does not match the labels' \(2, 2\)"),
             (lambda j: Channel((0, 1), (0, 1), [[1.1, -0.1], [0.0, 1.0]], _INPUT),
              NegativeEntry, "negative"),
             (lambda j: Channel((0, 1), (0, 1), np.eye(2), PMF((0, 1), [1.0, 0.0])),
