@@ -227,11 +227,11 @@ def cmd_ribbon(args) -> int:
         )
     ps = np.geomspace(1.5, args.pmax, args.steps)
     # one witness serves q*, s* (with sstar's default restarts and sweep cap)
-    # and the rho^2 footer; a single-symbol alphabet has none, and
-    # maximal_correlation raises on it after the curve's checks
-    curve, w = _q_star_curve(j, ps, args.seed)
-    w = w or maximal_correlation(j)
-    fwd = _sstar(j, w.f, seed=args.seed)
+    # and the rho^2 footer; maximal_correlation refuses a single-symbol
+    # alphabet before the curve checks its p values
+    w = maximal_correlation(j)
+    curve = _q_star_curve(j, ps, w, args.seed)
+    fwd = _sstar(j, w, seed=args.seed)
     csv = ["p,q_star,slope"]
     csv += [
         f"{_fmt(p)},{_fmt(q)},{_fmt(s)}"
@@ -256,7 +256,7 @@ def cmd_tensor(args) -> int:
     jp = product(j1, j2)
     witnesses = [maximal_correlation(j) for j in (j1, j2, jp)]
     rho1, rho2_, rhop = (w.rho for w in witnesses)
-    s1, s2, sp = (_sstar(j, w.f, args.restarts, args.seed).value
+    s1, s2, sp = (_sstar(j, w, args.restarts, args.seed).value
                   for j, w in zip((j1, j2, jp), witnesses))
     doc = ReportDocument(
         inputs={"source_1": args.source1, "source_2": args.source2,

@@ -394,14 +394,18 @@ def conditional_expectation(j: JointDistribution, g) -> np.ndarray:
 def _parse_prob(v, where: str) -> float:
     """A JSON entry or a channel parameter as a float: a number as ``float``
     reads it, a string as ``float(Fraction(v))`` does, by the same integer
-    division, in ``_TOKEN``'s grammar.  ParseError on anything else and on
-    a value past the largest float.  The time is bounded by the token's
-    length: an exponent is clamped to ``_EXP_BOUND`` powers of ten past the
-    point where it stops moving the rounding."""
+    division, in ``_TOKEN``'s grammar.  ParseError on anything else, on a
+    value past the largest float and on a number that is not finite
+    (``json.loads`` reads ``1e400`` as inf and ``NaN`` as nan).  The time
+    is bounded by the token's length: an exponent is clamped to
+    ``_EXP_BOUND`` powers of ten past the point where it stops moving the
+    rounding."""
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise ParseError(f"{where}: probability must be a number or fraction string")
     try:
         if not isinstance(v, str):
+            if not math.isfinite(v):
+                raise ValueError(v)
             return float(v)
         m = _TOKEN.fullmatch(v)
         if m is None:

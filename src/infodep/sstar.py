@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
     ZeroIUX,
 )
-from .spectral import _witness_or_none
+from .spectral import CorrelationWitness, _witness_or_none
 
 __all__ = [
     "UDecomposition",
@@ -232,21 +232,17 @@ def _batch_gradient(
 
 
 def _candidate_points(
-    px: np.ndarray, f: np.ndarray | None, rng: np.random.Generator, restarts: int
+    px: np.ndarray, f: np.ndarray, rng: np.random.Generator, restarts: int
 ) -> np.ndarray:
-    """Vertices, points on the witness ray of f (none when f is None) and
-    Dirichlet restarts, one per column."""
-    nx = px.shape[0]
-    blocks = [np.eye(nx)]
-    if f is not None:
-        # p(x) (1 + s t f) reaches the simplex boundary at t = 1/max(-s f);
-        # one column of t per sign s = +1, -1
-        t = np.geomspace(RAY_START, 1.0 / np.array([np.max(-f), np.max(f)]), RAY_POINTS)
-        st = np.concatenate([t[:, 0], -t[:, 1]])
-        ray = np.maximum(px[:, None] * (1.0 + st * f[:, None]), 0.0)
-        blocks.append(ray / np.add.reduce(ray, 0))
-    blocks.append(rng.dirichlet(np.ones(nx), size=restarts).T)
-    return np.hstack(blocks)
+    """Vertices, points on the witness ray of f and Dirichlet restarts, one
+    per column."""
+    # p(x) (1 + s t f) reaches the simplex boundary at t = 1/max(-s f);
+    # one column of t per sign s = +1, -1
+    t = np.geomspace(RAY_START, 1.0 / np.array([np.max(-f), np.max(f)]), RAY_POINTS)
+    st = np.concatenate([t[:, 0], -t[:, 1]])
+    ray = np.maximum(px[:, None] * (1.0 + st * f[:, None]), 0.0)
+    dirichlet = rng.dirichlet(np.ones(px.size), size=restarts).T
+    return np.hstack([np.eye(px.size), ray / np.add.reduce(ray, 0), dirichlet])
 
 
 def _leader(vals: np.ndarray, den: np.ndarray) -> int:
@@ -364,33 +360,34 @@ def sstar(
     mean adds to it.  The value is exactly the
     ratio at the reported maximizer.  ``restarts``, ``seed`` and
     ``max_iter`` must be non-negative integers, and ``restarts`` at most
-    ``MAX_RESTARTS``.
+    ``MAX_RESTARTS``.  A single-symbol alphabet has no witness: the answer
+    is 0 at p(x), with nothing searched.
     """
-    w = _witness_or_none(j)
-    return _sstar(j, None if w is None else w.f, restarts, seed, max_iter)
+    return _sstar(j, _witness_or_none(j), restarts, seed, max_iter)
 
 
 def _sstar(
-    j: JointDistribution, f: np.ndarray | None,
+    j: JointDistribution, w: CorrelationWitness | None,
     restarts: int = RESTARTS, seed: int = 0, max_iter: int = SWEEP_CAP,
 ) -> SStarResult:
-    """:func:`sstar` with the witness f of ``maximal_correlation(j)``, None
-    when an alphabet has one symbol."""
+    """:func:`sstar` with the witness ``w = maximal_correlation(j)``, whose f
+    sets the witness ray.  ``w`` is None when an alphabet has one symbol:
+    X and Y are then independent, p(x) is the answer and nothing is
+    searched, so ``restarts`` and every counter read 0."""
     restarts = _check_count(restarts, "restarts")
     seed = _check_count(seed, "seed")
     max_iter = _check_count(max_iter, "max_iter")
     if restarts > MAX_RESTARTS:
         raise ValidationError(f"restarts must be in [0, {MAX_RESTARTS}], got {restarts!r}")
     px = j.px
-    if j.shape[0] < 2:
-        # p(x) is the only input and its ratio is 0: nothing is searched
+    if w is None:
         restarts, best_r, value, best_den = 0, px, 0.0, 0.0
         n_candidates = sweeps = row_sweeps = handoff = 0
         converged, residual = True, 0.0
     else:
         W, py = j.pxy / px[:, None], j.py
         best_r, n_candidates, sweeps, converged, row_sweeps, residual, handoff = _ascent(
-            W, px, py, f, restarts, seed, max_iter
+            W, px, py, w.f, restarts, seed, max_iter
         )
         value, best_den = _ratio_at(best_r, W, px, py)
         if best_den < SEARCH_EXCLUSION:
@@ -416,13 +413,13 @@ def _sstar(
 
 
 def _ascent(
-    W: np.ndarray, px: np.ndarray, py: np.ndarray, f: np.ndarray | None,
+    W: np.ndarray, px: np.ndarray, py: np.ndarray, f: np.ndarray,
     restarts: int, seed: int, max_iter: int,
 ) -> tuple:
-    """The search of :func:`sstar` for |X| >= 2: the point where the Newton
-    finish ends, then the candidate count, the sweeps, whether the search
-    converged, the active starts' sweeps summed, the KKT residual there and
-    the handoff sweep, in the order of the diagnostics."""
+    """The search of :func:`sstar` from the witness ray of f: the point
+    where the Newton finish ends, then the candidate count, the sweeps,
+    whether the search converged, the active starts' sweeps summed, the KKT
+    residual there and the handoff sweep, in the order of the diagnostics."""
     nx = px.shape[0]
     R = _candidate_points(px, f, np.random.default_rng(seed), restarts)
     vals, RY, num, den = _ratio_terms(R, W, px, py)

@@ -2,10 +2,11 @@
 
 :func:`measures` returns rho with its witness, s* both ways with their
 diagnostics, the mutual information, and (binary X) lambda-dagger.  It
-computes rho's SVD once: s*(X;Y) starts its witness ray from rho's witness f,
-and s*(Y;X) from the transpose's, which is the same witness with f and g
-swapped (:func:`infodep.spectral.maximal_correlation`).  Each answer is bit
-for bit what its own function returns.
+computes rho's SVD once and hands its witness to s*(X;Y), and the
+transpose's, the same witness with f and g swapped
+(:func:`infodep.spectral.maximal_correlation`), to s*(Y;X); each search
+reads its witness ray from that.  Each answer is bit for bit what its own
+function returns.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def measures(j: JointDistribution, *, restarts: int = RESTARTS, seed: int = 0) -
     and whatever ``sstar`` or ``lambda_dagger`` raise, in that order.
     """
     forward, backward = _witnesses(j)
-    sstar_xy = _sstar(j, forward.f, restarts, seed)
-    sstar_yx = _sstar(transpose(j), backward.f, restarts, seed)
+    sstar_xy = _sstar(j, forward, restarts, seed)
+    sstar_yx = _sstar(transpose(j), backward, restarts, seed)
     ld = lambda_dagger(channel_of(j)) if j.shape[0] == 2 else None
     return Measures(forward, sstar_xy, sstar_yx, mutual_information(j, LogBase.NATS), ld)

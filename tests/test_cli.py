@@ -188,6 +188,16 @@ class TestOutsideInput:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("number", ["1e400", "NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_refused_by_the_parser(self, capsys, tmp_path, number):
+        # json.loads reads each as inf or nan; the parser names the entry
+        path = tmp_path / "entry.json"
+        path.write_text(TABLE_WITH % number)
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{path}: pxy[0][0]: cannot parse probability" in err
+
     def test_huge_exponent_parses_at_once(self, tmp_path):
         # in a subprocess, so that a parser that builds 10^999999999 fails
         # on the timeout instead of hanging the suite
@@ -519,6 +529,15 @@ class TestRibbon:
         code, out, err = run(capsys, "ribbon", "fig2", "--steps", "1")
         assert code == 2
 
+    def test_repeated_p_values_refused(self, capsys):
+        # the geometric grid repeats values this close to 1.5, so a skipped
+        # check would print duplicate rows
+        code, out, err = run(
+            capsys, "ribbon", "fig2", "--pmax", "1.5000000000000002", "--steps", "256"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: p values must be strictly increasing\n"
+
     def test_steps_above_limit_refused_before_any_q_star(self, capsys, monkeypatch):
         def no_curve(*args, **kwargs):
             raise AssertionError("a q* curve was computed")
@@ -610,6 +629,41 @@ class TestContract:
         code, out, err = run(capsys, "measures", "fig2")
         assert code == 4
         assert err == "error: the routes disagree\n"
+
+    @pytest.mark.parametrize(
+        "x_labels, y_labels, pxy",
+        [([0], [0, 1], [[0.3, 0.7]]), ([0, 1], [0], [[0.3], [0.7]])],
+        ids=["1x2", "2x1"],
+    )
+    @pytest.mark.parametrize("command", ["ribbon", "tensor"])
+    def test_single_symbol_alphabet_has_no_witness(
+        self, capsys, tmp_path, command, x_labels, y_labels, pxy
+    ):
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps({"x_labels": x_labels, "y_labels": y_labels, "pxy": pxy}))
+        argv = (command, str(path)) + (("fig2",) if command == "tensor" else ())
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        shape = f"{len(x_labels)}x{len(y_labels)}"
+        assert err == f"error: maximal correlation witness needs |X|, |Y| >= 2, got {shape}\n"
+
+    def test_module_entry_point(self, capsys, tmp_path):
+        # the entry point a fresh process runs: sys.exit(main()) under the
+        # __main__ guard
+        code, expected, _ = run(capsys, "info", "fig2")
+        assert code == 0
+        src = str(Path(infodep.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = [
+            subprocess.run(
+                [sys.executable, "-m", "infodep.cli", "info", source],
+                capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
+            )
+            for source in ("fig2", "missing.json")
+        ]
+        assert (done[0].returncode, done[0].stdout, done[0].stderr) == (0, expected, "")
+        assert done[1].returncode == 2 and done[1].stdout == ""
+        assert done[1].stderr.startswith("error:") and done[1].stderr.count("\n") == 1
 
     def test_oversized_alphabet_exits_3(self, capsys, tmp_path):
         n = MAX_ALPHABET + 1

@@ -48,8 +48,9 @@ from conftest import random_independent, random_joint
 
 
 def _climb(j, p):
-    """_q_star at seed 0 with rho from maximal_correlation, as q_star calls it."""
-    return _q_star(j, p, maximal_correlation(j).rho, seed=0)
+    """_q_star at seed 0 with the witness of maximal_correlation, as q_star
+    calls it."""
+    return _q_star(j, p, maximal_correlation(j), seed=0)
 
 
 #: the accuracy the bisection q_star was run to (the width of its final

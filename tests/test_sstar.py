@@ -228,10 +228,14 @@ class TestSstar:
         assert res.diagnostics["handoff_sweep"] == 0
 
     def test_single_symbol_output_gives_zero(self):
-        # no witness ray (rho is undefined), and every input's output is the
-        # one symbol, so every candidate's numerator is 0
-        res = sstar(joint_from_matrix([[0.3], [0.7]], (0, 1), (0,)))
+        # no witness (rho is undefined): X and Y are independent, so, as for
+        # a single input symbol, the answer is p(x) and nothing is searched
+        j = joint_from_matrix([[0.3], [0.7]], (0, 1), (0,))
+        res = sstar(j)
         assert res.value == 0.0
+        np.testing.assert_array_equal(res.maximizer.probs, j.px)
+        assert res.diagnostics["candidates"] == 0
+        assert res.diagnostics["restarts"] == 0
         assert res.diagnostics["converged"] is True
 
     def test_row_sweeps_count_only_active_starts(self, remark3):
