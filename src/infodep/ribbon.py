@@ -71,16 +71,20 @@ symmetric channel the floor is q* itself (Bonami 1970; Beckner 1975).
 
 A sweep's arrays hold |X| or |Y| times |Y| + 97 entries, so numpy's
 overhead per call sets its cost: reductions call ``ufunc.reduce``, not the
-wrappers ``np.max`` and ``np.sum``, and ``contraction_gap`` and
-``_q_star`` each enter one ``np.errstate`` around their whole loop of
-sweeps.  On fig2 at 100 columns a mixed sweep takes 0.065-0.072 ms and a
-plain one 0.021-0.026 ms (one BLAS thread, a shared 2-vCPU x86-64 VM).
+wrappers ``np.max`` and ``np.sum``, ``contraction_gap`` and ``_q_star``
+each enter one ``np.errstate`` around their whole loop of sweeps, each
+sweep forms the differences that the mix reads once, and the seed columns
+are drawn once per (|Y|, seed).  On fig2 at 100 columns, in the steady
+state at (p, q) = (4, 2.5), a mixed sweep takes 0.060-0.066 ms and one
+with the plain step in place of the mix 0.025-0.028 ms (one BLAS thread,
+a shared 2-vCPU Intel Xeon VM).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,6 +118,9 @@ QSTAR_MAX_P = 128.0
 #: residual differences, and the one-term mix elsewhere; the determinant's
 #: own rounding is a few ulps of a00 * a11
 _MIX_MIN_DET = 1e-12
+#: the one-term mix's (a00, a01, b0), which turn the two-term formulas into
+#: g0 = 0 and g1 = b1 / a11
+_ONE_TERM = np.array(((1.0,), (0.0,), (0.0,)))
 #: a column whose gap exceeds this witnesses q* above the q of its sweeps;
 #: 1e4 ulps of the norm near 1 that it is read from
 _WITNESS_GAP = 1e-12
@@ -165,13 +172,17 @@ def _conditional(W: np.ndarray, logG: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return tg / tmax, np.log(tmax) + top
 
 
+@lru_cache(maxsize=8)
 def _seed_columns(ny: int, seed: int) -> np.ndarray:
     """The multistart columns of log g, not yet normalized: every
     coordinate indicator, the constant, and ``GAP_RESTARTS`` Dirichlet
-    draws seeded with ``seed``."""
+    draws seeded with ``seed``.  Drawn once per (ny, seed) and shared, so
+    the array is read-only."""
     draws = np.random.default_rng(seed).dirichlet(np.ones(ny), size=GAP_RESTARTS)
     indicators = np.where(np.eye(ny) > 0.0, 0.0, -np.inf)
-    return np.concatenate([indicators, np.zeros((ny, 1)), np.log(draws).T], axis=1)
+    cols = np.concatenate([indicators, np.zeros((ny, 1)), np.log(draws).T], axis=1)
+    cols.setflags(write=False)
+    return cols
 
 
 def _sweeps(kernel, p: float, q: float, logG: np.ndarray):
@@ -180,11 +191,14 @@ def _sweeps(kernel, p: float, q: float, logG: np.ndarray):
     log ||E[g|X]||_p per column.
 
     ``normalize`` scales the start and each mix to ||g||_q = 1; each image
-    of the map, whose column maxima are 0, skips its shift by them.
+    of the map, whose column maxima are 0, skips its shift by them.  Each
+    sweep takes the differences of T(x) and of f = T(x) - x from the sweep
+    before once, and the mix reads them on this sweep and the next.
     The iteration stops once the map moves log g by less than
-    ``GAP_CONV_TOL`` or after ``GAP_MAX_ITER`` iterates.  Callers run it
-    under ``np.errstate(all="ignore")``; 1 <= q <= p, and at q = 1, where
-    the map divides by q - 1, only the first iterate is defined.
+    ``GAP_CONV_TOL``, or at the ``GAP_MAX_ITER``-th iterate, which it does
+    not map.  Callers run it under ``np.errstate(all="ignore")``;
+    1 <= q <= p, and at q = 1, where the map divides by q - 1, only the
+    first iterate is defined.
     """
     W, Bt, px, py = kernel
     pm1, qm1 = p - 1.0, q - 1.0
@@ -194,11 +208,13 @@ def _sweeps(kernel, p: float, q: float, logG: np.ndarray):
         return lg - (top + np.log(py @ np.exp(q * (lg - top))) / q)
 
     logG = normalize(logG)
-    older = old = None  # (T(x), f) of the two sweeps before
-    for _ in range(GAP_MAX_ITER):
+    prev = older = None  # (T(x), f) of the sweep before, and its differences
+    for sweep in range(GAP_MAX_ITER):
         u, shift = _conditional(W, logG)
         up = u**pm1
         yield logG, np.log(px @ (up * u)) / p + shift
+        if sweep == GAP_MAX_ITER - 1:
+            return
         # any constant factor of a column of m cancels in the normalization
         m = Bt @ up
         new = np.log(m / np.maximum.reduce(m, 0)) / qm1
@@ -206,39 +222,43 @@ def _sweeps(kernel, p: float, q: float, logG: np.ndarray):
         f = new - logG
         if np.fmax.reduce(np.abs(f), None) < GAP_CONV_TOL:
             return
-        logG = new if older is None else _anderson_step((older, old, (new, f)), normalize)
-        older, old = old, (new, f)
+        diff = None if prev is None else (new - prev[0], f - prev[1])
+        logG = new if older is None else _anderson_step(older, diff, new, f, normalize)
+        prev, older = (new, f), diff
 
 
-def _anderson_step(hist, normalize) -> np.ndarray:
+def _anderson_step(d0, d1, t: np.ndarray, f: np.ndarray, normalize) -> np.ndarray:
     """The two-term Anderson mix of each column of log g (Walker & Ni 2011).
 
-    ``hist`` holds (T(x_i), f_i = T(x_i) - x_i) for i = k-2, k-1, k.  With
-    dT_i and df_i the last two differences of T(x) and of f, the next
-    iterate is T(x_k) - g0 dT0 - g1 dT1, where (g0, g1) minimizes
-    |f_k - g0 df0 - g1 df1| through the 2x2 normal equations, renormalized
-    to ||g||_q = 1.  A column whose determinant is not above
-    ``_MIX_MIN_DET`` * a00 * a11 drops df0 and takes the one-term mix
-    T(x_k) - g1 dT1 with g1 = <df1, f_k> / <df1, df1>.  A column keeps the
-    plain step T(x_k) where <df1, df1> is 0 (so no 0/0 is ever formed) or
-    the mixed column is not finite.
+    ``t`` and ``f`` are T(x_k) and f_k = T(x_k) - x_k; ``d0`` and ``d1`` are
+    the pairs (dT, df) of the last two differences of T(x) and of f, d1 the
+    latest, which the sweeps form once each.  The next iterate is
+    t - g0 dT0 - g1 dT1, where (g0, g1) minimizes |f - g0 df0 - g1 df1|
+    through the 2x2 normal equations, renormalized to ||g||_q = 1.  A
+    column whose determinant is not above ``_MIX_MIN_DET`` * a00 * a11
+    drops df0 and takes the one-term mix t - g1 dT1 with
+    g1 = <df1, f> / <df1, df1>.  A column keeps the plain step t where
+    <df1, df1> is 0 (so no 0/0 is ever formed) or the mixed column is not
+    finite.
     """
-    (t0, f0), (t1, f1), (t2, f2) = hist
-    d = np.array((f1 - f0, f2 - f1, f2))
-    (a00, a01, _), (_, a11, b1) = m = np.einsum("iyc,jyc->ijc", d[:2], d)
-    det = a00 * a11 - a01 * a01
-    two = det > _MIX_MIN_DET * (a00 * a11)
-    # elsewhere the one-term mix on df1: with (a00, a01, b0) = (1, 0, 0) the
-    # same formulas give det = a11, g0 = 0 and g1 = b1 / a11
-    a00, a01, b0 = np.where(two, m[0], ((1.0,), (0.0,), (0.0,)))
+    (dt0, df0), (dt1, df1) = d0, d1
+    d = np.array((df0, df1, f))
+    m = np.einsum("iyc,jyc->ijc", d[:2], d)
+    a00, a01, a11, b1 = m[0, 0], m[0, 1], m[1, 1], m[1, 2]
+    aa = a00 * a11
+    det = aa - a01 * a01
+    two = det > _MIX_MIN_DET * aa
+    # elsewhere the one-term mix on df1: det = a11, g0 = 0 and g1 = b1 / a11
+    ab = np.where(two, m[0], _ONE_TERM)
+    a00, a01, b0 = ab[0], ab[1], ab[2]
     det = np.where(two, det, a11)
     ok = det > 0.0
     det = np.where(ok, det, np.inf)
     g0 = (a11 * b0 - a01 * b1) / det
     g1 = (a00 * b1 - a01 * b0) / det
-    mixed = normalize(t2 - g0 * (t1 - t0) - g1 * (t2 - t1))
+    mixed = normalize(t - g0 * dt0 - g1 * dt1)
     ok &= np.logical_and.reduce(np.isfinite(mixed), 0)
-    return np.where(ok, mixed, t2)
+    return np.where(ok, mixed, t)
 
 
 def contraction_gap(j: JointDistribution, p: float, q: float, seed: int = 0) -> float:
@@ -322,35 +342,37 @@ def _crossing(
     lgz = np.where(lg > -np.inf, lg, 0.0)
     shift = top - log_norms  # f = log(py @ exp(q lg)) + q shift
 
-    def at(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def at(q: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         e = np.exp(q * lg)
         total = py @ e
         return np.log(total) + q * shift, (py @ (e * lgz)) / total + shift
 
-    f, df = at(np.full(shift.size, lo))
+    f, df = at(lo)
     tangent = lo - f / df
     q = np.where((df > 0.0) & (tangent < hi), tangent, hi)
     f, df = at(q)
     for _ in range(_CROSSING_MAX_ITER):
         above = f > 0.0
-        if not above.any():
+        if not np.logical_or.reduce(above):
             break
         q = np.where(above, np.minimum(q - f / df, np.nextafter(q, -np.inf)), q)
         f, df = at(q)
     q = np.where(f > 0.0, lo, q)
-    best = int(np.argmax(q))
+    best = int(q.argmax())
     return float(q[best]), best
 
 
 def _q_star(
     j: JointDistribution, p: float, w: CorrelationWitness | None, *, seed: int
-) -> tuple[float, np.ndarray | None, int, int]:
+) -> tuple[float, np.ndarray | None, int, int, int]:
     """q_star from the floor 1 + rho^2 (p - 1), with rho read from the
     witness ``w = maximal_correlation(j)`` that the caller holds, as
     ``sstar._sstar`` takes it.  ``w`` is None when an alphabet has one
     symbol: X and Y are then independent, rho is 0 and nothing is searched.
     Then the column of log g whose crossing it is (None at the floor), the
-    outer steps and the sweeps run in total."""
+    outer steps, the sweeps run in total, and the runs that ended at the
+    ``GAP_MAX_ITER`` cap rather than by convergence or by the witness
+    rule."""
     p = float(p)
     if not 1.0 <= p <= QSTAR_MAX_P:
         raise ValidationError(f"p must be in [1, {QSTAR_MAX_P:g}], got {p!r}")
@@ -358,10 +380,10 @@ def _q_star(
     rho = 0.0 if w is None else w.rho
     q = floor = 1.0 + rho * rho * (p - 1.0)
     if p - 1.0 < 1e-12 or floor == 1.0:
-        return floor, None, 0, 0
+        return floor, None, 0, 0, 0
     kernel = _kernel(j)
     log_above = math.log1p(_WITNESS_GAP)
-    witness, steps, total = None, 0, 0
+    witness, steps, total, capped = None, 0, 0, 0
     with np.errstate(all="ignore"):
         logG = _seed_columns(j.shape[1], seed)
         while steps < _QSTAR_MAX_STEPS:
@@ -370,20 +392,24 @@ def _q_star(
             for sweep, (logG, log_norms) in enumerate(_sweeps(kernel, p, q, logG)):
                 above = log_norms > log_above
                 if np.logical_or.reduce(above):
-                    found = logG[:, above], log_norms[above]
+                    found = logG, log_norms, above
                     first = sweep if first is None else first
                 if first is not None and sweep - first >= _WITNESS_EXTRA:
                     break
+            else:  # converged, or ran GAP_MAX_ITER sweeps
+                capped += sweep + 1 == GAP_MAX_ITER
             total += sweep + 1
             if found is None:
                 break
-            cross, best = _crossing(*found, kernel[3], q, p)
+            g, norms, above = found
+            cols = g[:, above]
+            cross, best = _crossing(cols, norms[above], kernel[3], q, p)
             if cross <= q:
                 break
-            q, witness = cross, found[0][:, best]
+            q, witness = cross, cols[:, best]
             if q >= p:
                 break
-    return q, witness, steps, total
+    return q, witness, steps, total, capped
 
 
 def q_star(j: JointDistribution, p: float, *, seed: int = 0) -> float:

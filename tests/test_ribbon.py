@@ -123,12 +123,26 @@ class TestContractionGap:
     def test_seed_columns_raise_no_floating_point_exception(self, ny, seed):
         # the indicators' -inf entries are written, not taken as log(0), and
         # every column keeps the bits of the log of the whole block
+        _seed_columns.cache_clear()  # a cached array would not be drawn here
         with np.errstate(all="raise"):
             cols = _seed_columns(ny, seed)
         draws = np.random.default_rng(seed).dirichlet(np.ones(ny), size=GAP_RESTARTS)
         with np.errstate(divide="ignore"):
             ref = np.log(np.concatenate([np.eye(ny), np.ones((ny, 1)), draws.T], axis=1))
         assert cols.tobytes() == ref.tobytes()
+
+    def test_seed_columns_are_drawn_once(self, fig2):
+        # one read-only array per (|Y|, seed), and a climb reads the same
+        # bits from a cold cache as from a warm one
+        _seed_columns.cache_clear()
+        cold = _climb(fig2, 4.0)
+        cols = _seed_columns(fig2.shape[1], 0)
+        assert _seed_columns(fig2.shape[1], 0) is cols and not cols.flags.writeable
+        with pytest.raises(ValueError):
+            cols[0, 0] = 0.0
+        warm = _climb(fig2, 4.0)
+        assert cold[0] == warm[0] and cold[2:] == warm[2:]
+        assert cold[1].tobytes() == warm[1].tobytes()
 
     def test_p_equals_one_is_zero(self, fig2):
         assert contraction_gap(fig2, 1.0, 1.0) == 0.0
@@ -343,8 +357,8 @@ def _sweep_gaps(j, p: float, q: float) -> list[float]:
 
 class TestSweepCount:
     """The sweeps that contraction_gap runs, counted by _sweep_gaps, and
-    those that _q_star returns, so that a run that ends at the GAP_MAX_ITER
-    cap without converging shows.  The fig2 probes are probes of the
+    those that _q_star returns with its count of runs that ended at the
+    GAP_MAX_ITER cap without converging.  The fig2 probes are probes of the
     bisection q_star used to run: one whose gap passes a 1e-9 test counts
     the sweeps up to the first that passes it, where the bisection stopped.
     They were recorded when the Anderson mix replaced the plain sweep
@@ -399,11 +413,21 @@ class TestSweepCount:
                 yield it
 
         monkeypatch.setattr("infodep.ribbon._sweeps", record)
-        _, _, steps, sweeps = _climb(fig2, 4.0)
+        _, _, steps, sweeps, _ = _climb(fig2, 4.0)
         assert (len(runs), sum(map(len, runs))) == (steps, sweeps) == (7, 36)
         for run in runs[:-1]:
             assert len(run) - 1 - run.index(True) == _WITNESS_EXTRA
         assert not any(runs[-1])
+
+    def test_runs_that_end_at_the_cap_are_counted(self, fig2, monkeypatch):
+        # two sweeps end a run before the witness rule's third
+        monkeypatch.setattr("infodep.ribbon.GAP_MAX_ITER", 2)
+        assert _climb(fig2, 4.0)[4] >= 1
+
+    @pytest.mark.parametrize("p", [1.5, 4.0, 32.0])
+    @pytest.mark.parametrize("name", ["fig2", "remark3"])
+    def test_no_run_ends_at_the_cap(self, name, p):
+        assert _climb(builtin(name), p)[4] == 0
 
     def test_exact_cases_run_no_sweep(self, fig2, monkeypatch):
         # q = 1 reads the first iterate from the indicators, and p = 1 not even that
@@ -419,7 +443,7 @@ class TestSweepCount:
 @contextlib.contextmanager
 def _plain_update():
     """Run the sweeps with the plain fixed-point update T(x_k), unmixed."""
-    with mock.patch("infodep.ribbon._anderson_step", lambda hist, normalize: hist[-1][0]):
+    with mock.patch("infodep.ribbon._anderson_step", lambda d0, d1, t, f, normalize: t):
         yield
 
 
@@ -505,6 +529,12 @@ class TestMixGuard:
     def _normalize(lg):
         return lg - _fsum_logsumexp(lg, 0)
 
+    def _step(self, hist):
+        """_anderson_step on the last three sweeps' (T(x_i), f_i), with the
+        differences formed as the sweeps form them."""
+        (t0, f0), (t1, f1), (t2, f2) = hist
+        return _anderson_step((t1 - t0, f1 - f0), (t2 - t1, f2 - f1), t2, f2, self._normalize)
+
     def _one_term(self, hist, c):
         """The secant mix of column c on its latest difference pair."""
         (t1, f1), (t2, f2) = ((t[:, c], f[:, c]) for t, f in hist[1:])
@@ -516,7 +546,7 @@ class TestMixGuard:
         hist = self._history()
         t2 = hist[2][0]
         with np.errstate(all="raise"):  # a 0/0 or an overflow would raise
-            out = _anderson_step(hist, self._normalize)
+            out = self._step(hist)
         assert np.array_equal(out[:, 0], t2[:, 0])
         for c in (1, 2):
             assert np.allclose(out[:, c], self._one_term(hist, c), rtol=1e-12, atol=1e-12)
@@ -534,7 +564,7 @@ class TestMixGuard:
             xs.append(a + lam * (xs[-1] - a))
         hist = [(xs[i + 1], xs[i + 1] - xs[i]) for i in range(3)]
         with np.errstate(all="raise"):
-            out = _anderson_step(hist, self._normalize)
+            out = self._step(hist)
         # rounding in the differences grows as 1 / (1 - lam)^2 through gamma
         assert np.all(np.abs(out - a) <= 1e-14 / (1.0 - lam) ** 2)
         assert not np.allclose(xs[3], a, rtol=0.0, atol=1e-3)
@@ -545,7 +575,7 @@ class TestMixGuard:
         # g(y) = 0 on two sweeps, in a one-term and a two-term column
         t1[0, [1, 3]] = t2[0, [1, 3]] = -np.inf
         with np.errstate(all="ignore"):
-            out = _anderson_step(hist, self._normalize)
+            out = self._step(hist)
         assert np.array_equal(out[:, [0, 1, 3]], t2[:, [0, 1, 3]])
         assert np.all(np.isfinite(out[:, [2, 4]]))
         assert not np.array_equal(out[:, [2, 4]], t2[:, [2, 4]])
@@ -732,7 +762,7 @@ class TestQStar:
 
         monkeypatch.setattr("infodep.ribbon._crossing", crossing)
         floor = 1.0 + maximal_correlation(fig2).rho ** 2 * (4.0 - 1.0)
-        q, witness, steps, _ = _climb(fig2, 4.0)
+        q, witness, steps, _, _ = _climb(fig2, 4.0)
         assert calls == [(floor, 4.0)] and steps == 1
         assert q == (4.0 if ends_at_p else floor)
         assert (witness is not None) == ends_at_p
@@ -920,7 +950,7 @@ class TestQStarWitness:
     @staticmethod
     def _check_witness(name, p):
         j = _ribbon_cases()[name]
-        q, log_g, steps, sweeps = _climb(j, p)
+        q, log_g, steps, sweeps, _ = _climb(j, p)
         assert q == q_star(j, p) and 1 <= steps <= sweeps
         lhs, rhs = _linear_norms(j, log_g, p, q)
         assert abs(lhs / rhs - 1.0) <= 1e-12, (lhs, rhs)
@@ -938,8 +968,8 @@ class TestQStarWitness:
         self._check_witness(name, p)
 
     def test_exact_one_has_no_witness(self, independent):
-        assert _climb(independent, 4.0) == (1.0, None, 0, 0)
-        assert _climb(builtin("fig2"), 1.0) == (1.0, None, 0, 0)
+        assert _climb(independent, 4.0) == (1.0, None, 0, 0, 0)
+        assert _climb(builtin("fig2"), 1.0) == (1.0, None, 0, 0, 0)
 
 
 #: a seeded 2x2 to 3x3 Dirichlet joint and an order p in [1.2, 32]
